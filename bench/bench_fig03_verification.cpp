@@ -35,9 +35,9 @@ int main() {
     int ranks;
   };
   const Run runs[] = {
-      {"v7.2 kernels, 4 ranks", {true, true, true, 16, 8}, 4},
-      {"plain kernels, 2 ranks", {false, false, false, 16, 8}, 2},
-      {"v7.2 kernels, 1 rank", {true, false, false, 16, 8}, 1},
+      {"v7.2 kernels, 4 ranks", {true, true, 16, 8}, 4},
+      {"plain kernels, 2 ranks", {false, false, 16, 8}, 2},
+      {"v7.2 kernels, 1 rank", {true, false, 16, 8}, 1},
   };
 
   std::vector<ScenarioResult> results;

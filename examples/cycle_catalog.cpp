@@ -142,7 +142,9 @@ int main() {
     fs::remove_all(root);
     util::resetRetryRegistry();
     fault::FaultPlan plan;
-    plan.brokerDeath(/*broker=*/1, /*occurrence=*/8);
+    // Broker 1 dies at its first pump tick that finds the catalog in
+    // flight, so the death lands mid-catalog however fast the events run.
+    plan.brokerDeathInFlight(/*broker=*/1, /*occurrence=*/1);
     fault::FaultInjector injector(std::move(plan));
     fault::ScopedInjection scoped(injector);
 

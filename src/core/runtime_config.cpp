@@ -99,8 +99,6 @@ RuntimeConfig parseRuntimeConfig(const std::string& text,
         if (s.kernels.kblock <= 0 || s.kernels.jblock <= 0)
           fail(lineNo, "blocking factors must be positive");
       }
-    } else if (key == "unroll") {
-      s.kernels.unrolled = parseSwitch(value, lineNo);
     } else if (key == "reciprocals") {
       s.kernels.useReciprocals = parseSwitch(value, lineNo);
     } else if (key == "hybrid_threads") {
@@ -336,7 +334,6 @@ RuntimeConfig defaultsForMachine(const std::string& machineName) {
     s.kernels.kblock = 16;
     s.kernels.jblock = 8;
   }
-  s.kernels.unrolled = true;
   // Overlap paid off on mid-scale XT5/Ranger runs (§IV.C) but was dropped
   // for full-scale Jaguar production.
   s.overlap = machine.name == "Ranger";

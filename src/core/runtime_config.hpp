@@ -14,7 +14,6 @@
 //   reduced_comm    = on | off
 //   overlap         = on | off
 //   cache_block     = off | <kblock>x<jblock>       (e.g. 16x8)
-//   unroll          = on | off
 //   reciprocals     = on | off
 //   hybrid_threads  = <n>
 //   absorbing       = sponge | pml | none

@@ -1,6 +1,9 @@
 #include "cycle/kernel.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 
 #include "util/error.hpp"
 
@@ -48,20 +51,31 @@ StiffnessKernel::StiffnessKernel(const KernelConfig& config)
 AWP_HOT void StiffnessKernel::stressingRate(const std::vector<double>& v,
                                             double vpl,
                                             std::vector<double>& out) const {
-  const auto nx = static_cast<int>(config_.nx);
-  const auto nz = static_cast<int>(config_.nz);
-  for (int k = 0; k < nz; ++k)
-    for (int i = 0; i < nx; ++i) {
-      const auto n = static_cast<std::size_t>(i + nx * k);
-      double rate = self_[n] * (v[n] - vpl);
-      for (const Tap& tap : taps_) {
-        const int si = i + tap.di;
-        const int sk = k + tap.dk;
-        if (si < 0 || si >= nx || sk < 0 || sk >= nz) continue;
-        rate += tap.w * (v[static_cast<std::size_t>(si + nx * sk)] - vpl);
-      }
-      out[n] = rate;
+  const auto nx = static_cast<std::ptrdiff_t>(config_.nx);
+  const auto nz = static_cast<std::ptrdiff_t>(config_.nz);
+  assert(v.size() == self_.size() && out.size() == self_.size());
+  assert(v.data() != out.data());
+  const double* vp = v.data();
+  double* op = out.data();
+  for (std::size_t n = 0; n < self_.size(); ++n)
+    op[n] = self_[n] * (vp[n] - vpl);
+  // Tap-major: every node still adds its in-bounds taps in taps_ order, so
+  // each sum is bit-identical to a node-at-a-time loop, while the inner
+  // loop runs over one contiguous strike row of in-bounds nodes.
+  for (const Tap& tap : taps_) {
+    const std::ptrdiff_t i0 = std::max<std::ptrdiff_t>(0, -tap.di);
+    const std::ptrdiff_t len = std::min(nx, nx - tap.di) - i0;
+    if (len <= 0) continue;
+    const std::ptrdiff_t k0 = std::max<std::ptrdiff_t>(0, -tap.dk);
+    const std::ptrdiff_t k1 = std::min(nz, nz - tap.dk);
+    const double w = tap.w;
+    for (std::ptrdiff_t k = k0; k < k1; ++k) {
+      double* row = op + nx * k + i0;
+      const double* src = vp + nx * (k + tap.dk) + i0 + tap.di;
+#pragma GCC ivdep
+      for (std::ptrdiff_t i = 0; i < len; ++i) row[i] += w * (src[i] - vpl);
     }
+  }
 }
 
 }  // namespace awp::cycle

@@ -81,8 +81,14 @@ void Broker::pumpLoop() {
 void Broker::pumpOnce() {
   if (state() == BrokerState::Dead) return;
   if (fault::injectionEnabled()) {
-    if (auto act = fault::activeInjector()->check("broker_death", config_.id);
-        act && act->kind == fault::FaultKind::RankDeath) {
+    fault::FaultInjector* injector = fault::activeInjector();
+    auto act = injector->check("broker_death", config_.id);
+    // The in-flight variant only counts ticks that find incomplete
+    // submissions. This broker completes its own work later in the tick,
+    // so every record it owns is still in flight when it dies here.
+    if (!act && submissionsInFlight())
+      act = injector->check("broker_death_in_flight", config_.id);
+    if (act && act->kind == fault::FaultKind::RankDeath) {
       die("broker_death injected at pump tick");
       return;
     }
@@ -100,6 +106,11 @@ void Broker::pumpOnce() {
       pumpTicks_ % static_cast<std::uint64_t>(config_.reconcileEveryTicks) ==
           0)
     config_.reconcile();
+}
+
+bool Broker::submissionsInFlight() const {
+  const SubmissionLog::Stats st = log_->stats();
+  return st.appended > st.completedMarks;
 }
 
 void Broker::heartbeat(double now) {

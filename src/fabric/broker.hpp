@@ -13,12 +13,14 @@
 //              work finishes, cache hits are still served, and every new
 //              submission is parked for re-forward; a successful renewal
 //              or rejoin flushes the parked work and returns to Active.
-//   Dead     — fail-stop ("broker_death" at a pump tick, or an operator
-//              kill). The local service aborts, the lease is simply never
-//              renewed again, and the membership view's next epoch hands
-//              the broker's hash range to the survivors, which resume its
-//              jobs from the checkpoint tier and replay its queued ones
-//              from the submission log.
+//   Dead     — fail-stop ("broker_death" at a pump tick,
+//              "broker_death_in_flight" at a tick with submissions in
+//              flight, or an operator kill). The local service aborts,
+//              the lease is simply never renewed again, and the
+//              membership view's next epoch hands the broker's hash
+//              range to the survivors, which resume its jobs from the
+//              checkpoint tier and replay its queued ones from the
+//              submission log.
 
 #include <atomic>
 #include <cstdint>
@@ -131,6 +133,8 @@ class Broker {
   void drainInbox();
   void handleMessage(const FabricMessage& m);
   void reapCompletions();
+  // True while the submission log holds records not yet completed.
+  [[nodiscard]] bool submissionsInFlight() const;
   void flushDeferred();
   // Route one submission under the last adopted view. mu_ must NOT be
   // held. `fromPump` gates span emission to the pump's dedicated lane.

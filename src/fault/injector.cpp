@@ -86,6 +86,12 @@ FaultPlan& FaultPlan::brokerDeath(int broker, std::uint64_t occurrence) {
               0.0});
 }
 
+FaultPlan& FaultPlan::brokerDeathInFlight(int broker,
+                                          std::uint64_t occurrence) {
+  return add({"broker_death_in_flight", FaultKind::RankDeath, broker,
+              occurrence, 1, 0.0});
+}
+
 FaultPlan& FaultPlan::fabricDrop(int broker, std::uint64_t occurrence,
                                  std::uint64_t count) {
   return add({"fabric_drop", FaultKind::MessageDrop, broker, occurrence,

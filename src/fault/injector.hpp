@@ -31,6 +31,14 @@
 //                                        (RankDeath fail-stops the broker:
 //                                        its service aborts, its lease
 //                                        lapses, its hash range moves)
+//   broker_death_in_flight             — top of each broker pump tick
+//                                        that finds submissions in flight
+//                                        (the submission log holds records
+//                                        not yet completed); rank = broker
+//                                        id (RankDeath fail-stops the
+//                                        broker mid-ensemble however fast
+//                                        the scenarios run: an owner only
+//                                        completes work later in its tick)
 //   fabric_drop                        — hazard-fabric transport send and
 //                                        lease-RPC path; rank = SENDING
 //                                        broker id (MessageDrop = sender-
@@ -129,6 +137,10 @@ class FaultPlan {
                        std::uint64_t count = 1);
   // Fail-stop fabric broker `broker` at its occurrence-th pump tick.
   FaultPlan& brokerDeath(int broker, std::uint64_t occurrence);
+  // Fail-stop fabric broker `broker` at the occurrence-th of its pump
+  // ticks that finds submissions in flight. Unlike brokerDeath, the death
+  // cannot miss the ensemble by landing after fast scenarios finished.
+  FaultPlan& brokerDeathInFlight(int broker, std::uint64_t occurrence);
   // Drop `count` consecutive fabric sends/lease renewals FROM `broker`
   // starting at the occurrence-th "fabric_drop" consult. A long run
   // partitions the broker from the membership view.
@@ -215,6 +227,7 @@ inline constexpr KnownFaultSite kKnownSites[] = {
     {"rank_death", "rankDeath"},
     {"buddy_drop", "buddyDrop"},
     {"broker_death", "brokerDeath"},
+    {"broker_death_in_flight", "brokerDeathInFlight"},
     {"fabric_drop", "fabricDrop"},
     {"fabric_delay", "fabricDelay"},
     {"serve_publish_drop", "servePublishDrop"},

@@ -327,10 +327,17 @@ ExceedanceResult ProductServer::exceedance(const ExceedanceQuery& query) {
         anyMissing = true;
         return;
       }
-      const auto payload = store_.load(key);
-      if (!payload.has_value()) {
-        anyMissing = true;
-        return;
+      // Fold straight from the record's payload; the cache tier is only
+      // the fallback for a record without one.
+      std::optional<std::vector<float>> loaded;
+      const std::vector<float>* payload = rec.payload.get();
+      if (payload == nullptr) {
+        loaded = store_.load(key);
+        if (!loaded.has_value()) {
+          anyMissing = true;
+          return;
+        }
+        payload = &*loaded;
       }
       ++res.tilesScanned;
       telemetry::count(telemetry::Counter::ServeTilesScanned);

@@ -31,6 +31,8 @@ PublishOutcome TileStore::publish(const TileKey& key, std::uint64_t version,
   const bool stored = cache_->putDedup(chunkCacheKey(md5), std::move(bytes));
   out.chunkStored = stored;
   if (!stored) telemetry::count(telemetry::Counter::ServeChunkDedups);
+  auto decoded =
+      std::make_shared<const std::vector<float>>(payload, payload + count);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto& rec = index_[key];
@@ -38,6 +40,7 @@ PublishOutcome TileStore::publish(const TileKey& key, std::uint64_t version,
     rec.version = version;
     rec.chunkMd5 = md5;
     rec.payloadFloats = static_cast<std::uint32_t>(count);
+    rec.payload = std::move(decoded);
   }
   out.advanced = true;
   telemetry::count(telemetry::Counter::ServeTilesPublished);

@@ -1,10 +1,13 @@
 #pragma once
 // TileStore: the versioned tile index of the serving tier, backed by the
 // content-addressed artifact cache. The index maps TileKey -> (version,
-// payload digest); payload chunks live in the cache under a pure content
-// key, so identical tiles — across scenarios, or across versions of one
-// scenario whose extent stopped changing — are stored once (the cache's
-// putDedup path keeps the logical-vs-stored accounting).
+// payload digest, decoded payload); payload chunks live in the cache under
+// a pure content key, so identical tiles — across scenarios, or across
+// versions of one scenario whose extent stopped changing — are stored once
+// (the cache's putDedup path keeps the logical-vs-stored accounting). The
+// record also keeps the published floats as an immutable shared vector, so
+// the query path folds a tile straight from one index lookup instead of
+// decoding the chunk again.
 //
 // Version discipline: a publish only lands when it strictly advances the
 // tile's version. Retried attempts and at-least-once fabric replays
@@ -14,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -29,6 +33,9 @@ struct TileRecord {
   std::uint64_t version = 0;               // samples folded into the tile
   std::array<std::uint8_t, 16> chunkMd5{};  // content key of the payload
   std::uint32_t payloadFloats = 0;
+  // The payload as published, shared with readers (null while the record
+  // holds no published version).
+  std::shared_ptr<const std::vector<float>> payload;
 };
 
 struct PublishOutcome {
@@ -55,7 +62,8 @@ class TileStore {
   // Current version of a tile (0 = never published).
   AWP_HOT std::uint64_t latestVersion(const TileKey& key) const;
 
-  // Load a tile's payload through the cache tier (memory, then disk).
+  // Load a tile's payload through the cache tier (memory, then disk). The
+  // query path reads TileRecord::payload and keeps this as its fallback.
   [[nodiscard]] std::optional<std::vector<float>> load(
       const TileKey& key) const;
 

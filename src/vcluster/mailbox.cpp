@@ -8,12 +8,46 @@
 
 namespace awp::vcluster {
 
+namespace {
+
+// How long a receiver polls for its message before it blocks on the
+// condition variable. Lockstep ranks mostly wait less than this for a
+// neighbour's halo. A blocked receiver costs the sender a futex wake and
+// costs itself a return from an idle CPU, which on a VM means a host
+// reschedule whose latency follows host load. Past the budget the
+// receiver blocks, so waiting on a slow or stalled peer burns no CPU.
+constexpr auto kPollBudget = std::chrono::microseconds(300);
+// Polls before the loop starts yielding its CPU to other runnable threads.
+constexpr unsigned kPausePolls = 256;
+
+void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+}  // namespace
+
 void Mailbox::push(Message msg) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(msg));
+    arrivals_.fetch_add(1, std::memory_order_release);
   }
   cv_.notify_all();
+}
+
+bool Mailbox::awaitArrival(
+    std::uint64_t seen, std::chrono::steady_clock::time_point deadline) const {
+  for (unsigned n = 0;; ++n) {
+    if (arrivals_.load(std::memory_order_acquire) != seen) return true;
+    if (n % 64 == 63 && std::chrono::steady_clock::now() >= deadline)
+      return false;
+    if (n < kPausePolls)
+      cpuRelax();
+    else
+      std::this_thread::yield();
+  }
 }
 
 bool Mailbox::extractLocked(int src, int tag, std::uint64_t epoch,
@@ -62,13 +96,26 @@ Message Mailbox::popMatch(int src, int tag, const EpochGuard& guard) {
   std::unique_lock<std::mutex> lock(mutex_);
   Message out;
   bool got = false;
-  cv_.wait(lock, [&] {
+  auto ready = [&] {
     // Fence first: a fenced receiver must never consume a message, even a
     // matching one — the replacement incarnation will re-run the exchange.
     if (guard.fenced()) return true;
     got = extractLocked(src, tag, guard.mine, out);
     return got;
-  });
+  };
+  // Poll first, then block. Every push and wakeAll bumps arrivals_, so
+  // each one the receiver would be notified of also ends a poll.
+  bool done = ready();
+  const auto deadline = std::chrono::steady_clock::now() + kPollBudget;
+  while (!done) {
+    const std::uint64_t seen = arrivals_.load(std::memory_order_relaxed);
+    lock.unlock();
+    const bool arrived = awaitArrival(seen, deadline);
+    lock.lock();
+    if (!arrived) break;
+    done = ready();
+  }
+  if (!done) cv_.wait(lock, ready);
   if (!got)
     throw EpochFenced(fault::threadRank(), guard.mine,
                       guard.current->load(std::memory_order_acquire));
@@ -91,7 +138,10 @@ bool Mailbox::tryPopMatch(int src, int tag, Message& out) {
 AWP_HOT void Mailbox::wakeAll() {
   // Take the lock briefly so a waiter past its predicate check cannot miss
   // the notification, then notify outside the critical section.
-  { std::lock_guard<std::mutex> lock(mutex_); }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    arrivals_.fetch_add(1, std::memory_order_release);
+  }
   cv_.notify_all();
 }
 

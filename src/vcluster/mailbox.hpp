@@ -13,6 +13,7 @@
 // a fenced EpochGuard wake and throw EpochFenced.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -69,11 +70,18 @@ class Mailbox {
   // stamps along the way.
   bool extractLocked(int src, int tag, std::uint64_t epoch, Message& out)
       AWP_REQUIRES(mutex_);
+  // Polls, without the lock, until arrivals_ moves past `seen` (true) or
+  // the deadline passes (false).
+  bool awaitArrival(std::uint64_t seen,
+                    std::chrono::steady_clock::time_point deadline) const;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Message> queue_ AWP_GUARDED_BY(mutex_);
   std::atomic<std::uint64_t>* fencedCounter_ = nullptr;
+  // Bumped under mutex_ by every push and wakeAll, so a receiver polling
+  // outside the lock sees any change it would be notified of.
+  std::atomic<std::uint64_t> arrivals_{0};
 };
 
 }  // namespace awp::vcluster

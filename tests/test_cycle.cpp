@@ -29,6 +29,7 @@
 #include "sched/spec.hpp"
 #include "util/error.hpp"
 #include "util/retry.hpp"
+#include "util/rng.hpp"
 
 namespace awp::cycle {
 namespace {
@@ -157,6 +158,68 @@ TEST(CycleKernel, SingleNodeIsTheExactSpringSlider) {
   std::vector<double> v{3.0e-9}, rate{0.0};
   kernel.stressingRate(v, 1.0e-9, rate);
   EXPECT_DOUBLE_EQ(rate[0], -kernel.loadingStiffness() * 2.0e-9);
+}
+
+// The kernel's definition applied one node at a time: taps in the
+// constructor's order (dk outer, di inner), self term first.
+std::vector<double> nodeMajorRate(const KernelConfig& kc,
+                                  const std::vector<double>& v, double vpl) {
+  struct Tap {
+    int di, dk;
+    double w;
+  };
+  std::vector<Tap> taps;
+  const int r = kc.radius;
+  for (int dk = -r; dk <= r; ++dk)
+    for (int di = -r; di <= r; ++di) {
+      if ((di == 0 && dk == 0) || di * di + dk * dk > r * r) continue;
+      const double dist =
+          kc.cell * std::sqrt(static_cast<double>(di * di + dk * dk));
+      taps.push_back({di, dk,
+                      kc.interaction * kc.mu * kc.cell * kc.cell /
+                          (dist * dist * dist)});
+    }
+  const auto nx = static_cast<int>(kc.nx), nz = static_cast<int>(kc.nz);
+  auto inBounds = [&](int i, int k) {
+    return i >= 0 && i < nx && k >= 0 && k < nz;
+  };
+  std::vector<double> rate(v.size());
+  for (int k = 0; k < nz; ++k)
+    for (int i = 0; i < nx; ++i) {
+      double row = 0.0;
+      for (const Tap& t : taps)
+        if (inBounds(i + t.di, k + t.dk)) row += t.w;
+      const auto n = static_cast<std::size_t>(i + nx * k);
+      double sum = -(kc.loadingFactor * kc.mu / kc.cell + row) * (v[n] - vpl);
+      for (const Tap& t : taps)
+        if (inBounds(i + t.di, k + t.dk))
+          sum += t.w * (v[static_cast<std::size_t>(i + t.di +
+                                                   nx * (k + t.dk))] -
+                        vpl);
+      rate[n] = sum;
+    }
+  return rate;
+}
+
+TEST(CycleKernel, RowVectorizedApplyIsBitIdenticalToNodeMajorSums) {
+  // Odd strike extents exercise vector remainders; nz = 3 < radius keeps
+  // whole tap rows out of bounds; 1x1 is the spring slider.
+  for (const KernelConfig kc :
+       {KernelConfig{37, 11, 500.0, 30.0e9, 0.1, 0.25, 8},
+        KernelConfig{5, 3, 750.0, 30.0e9, 0.2, 0.5, 4},
+        KernelConfig{1, 1, 500.0, 30.0e9, 0.1, 0.25, 8}}) {
+    const StiffnessKernel kernel(kc);
+    Rng rng(kc.nx * 131 + kc.nz);
+    std::vector<double> v(kc.nx * kc.nz), rate(v.size());
+    for (double& x : v) x = std::exp(rng.uniform(-30.0, 0.0)) * 1.0e-3;
+    const double vpl = 1.0e-9;
+    kernel.stressingRate(v, vpl, rate);
+    const std::vector<double> want = nodeMajorRate(kc, v, vpl);
+    EXPECT_EQ(std::memcmp(rate.data(), want.data(),
+                          rate.size() * sizeof(double)),
+              0)
+        << kc.nx << "x" << kc.nz << " radius " << kc.radius;
+  }
 }
 
 // --- quasi-dynamic solver --------------------------------------------------
@@ -579,14 +642,15 @@ TEST(CycleFabricChaos, CatalogSurvivesABrokerDeathBitIdentically) {
     EXPECT_EQ(row.productDigest.size(), 32u) << row.index;
   }
 
-  // Same catalog with broker 1 fail-stopping at its 8th pump tick, i.e.
-  // with the event ensemble in flight.
+  // Same catalog with broker 1 fail-stopping at its first pump tick that
+  // finds the event ensemble in flight (submitted, not yet completed),
+  // however fast the solver runs.
   CycleCatalog survived;
   {
     const fs::path root = tempDir("catalog-chaos");
     util::resetRetryRegistry();
     fault::FaultPlan plan;
-    plan.brokerDeath(1, /*occurrence=*/8);
+    plan.brokerDeathInFlight(1, /*occurrence=*/1);
     fault::FaultInjector injector(std::move(plan));
     fault::ScopedInjection scoped(injector);
 

@@ -106,7 +106,6 @@ TEST(RuntimeConfig, ParsesFullConfiguration) {
       reduced_comm = off
       overlap = on
       cache_block = 32x4
-      unroll = on
       reciprocals = off
       hybrid_threads = 6
       absorbing = pml
@@ -127,7 +126,6 @@ TEST(RuntimeConfig, ParsesFullConfiguration) {
   EXPECT_TRUE(s.kernels.cacheBlocked);
   EXPECT_EQ(s.kernels.kblock, 32);
   EXPECT_EQ(s.kernels.jblock, 4);
-  EXPECT_TRUE(s.kernels.unrolled);
   EXPECT_FALSE(s.kernels.useReciprocals);
   EXPECT_EQ(s.hybridThreads, 6);
   EXPECT_EQ(s.absorbing, core::AbsorbingType::Pml);
@@ -153,6 +151,7 @@ TEST(RuntimeConfig, DefaultsPreservedForUnsetKeys) {
 TEST(RuntimeConfig, RejectsMalformedInput) {
   EXPECT_THROW(core::parseRuntimeConfig("nonsense\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("unknown_key = 1\n"), Error);
+  EXPECT_THROW(core::parseRuntimeConfig("unroll = on\n"), Error);  // retired
   EXPECT_THROW(core::parseRuntimeConfig("comm = carrier-pigeon\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("cache_block = 16by8\n"), Error);
   EXPECT_THROW(core::parseRuntimeConfig("hybrid_threads = 0\n"), Error);
