@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "core/kernels.hpp"
 #include "grid/staggered_grid.hpp"
 
@@ -33,11 +36,19 @@ grid::StaggeredGrid& testGrid() {
   return g;
 }
 
+// The fields every benchmark starts from, saved before any of them runs.
+const std::vector<std::byte>& initialState() {
+  static const std::vector<std::byte> state = testGrid().saveState();
+  return state;
+}
+
 // One full time step (velocity then stress) per iteration, through either
-// the production kernel or the scalar reference kernel.
+// the production kernel or the scalar reference kernel. Each run restarts
+// from the initial fields, so every variant measures the same state.
 void runStep(benchmark::State& state, const core::KernelOptions& opts,
              bool reference) {
   auto& g = testGrid();
+  g.restoreState(initialState());
   const core::Region r = core::Region::interior(g);
   for (auto _ : state) {
     if (reference) {

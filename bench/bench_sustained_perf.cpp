@@ -1,8 +1,9 @@
 // §V.B — sustained performance: the 2,000-step 1.4-trillion-point Blue
 // Waters preparation benchmark (260 Tflop/s) and the 24-hour M8
-// production run (220 Tflop/s) on 223,074 Jaguar cores, plus a REAL
-// measured single-core kernel rate from this machine feeding the model's
-// compute anchor.
+// production run (220 Tflop/s) on 223,074 Jaguar cores. The model's
+// compute term is the catalog peak times the paper's ~10% sustained
+// fraction; the single-core kernel rate measured on this machine is
+// printed beside it and does not feed the model.
 
 #include <iostream>
 

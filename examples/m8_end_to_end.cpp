@@ -2,7 +2,8 @@
 // laptop scale —
 //   CVM2MESH    mesh extraction from the community velocity model,
 //   PetaMeshP   mesh partitioning (pre-partitioned files + checksums),
-//   DFR         spontaneous rupture on the planar fault (SGSN mode),
+//   DFR         spontaneous rupture on the planar fault (stress-glut /
+//               traction-bounding fault, in place of the paper's SGSN),
 //   dSrcG       moment-rate source generation (filter + segmented trace),
 //   PetaSrcP    spatial/temporal source partitioning,
 //   AWM         anelastic wave propagation with aggregated surface output
@@ -87,7 +88,7 @@ int main() {
            " pre-partitioned blocks, collection MD5 " + meshChecksum;
   });
 
-  pipeline.addStage("DFR spontaneous rupture (SGSN mode)", [&] {
+  pipeline.addStage("DFR spontaneous rupture (traction-bounding)", [&] {
     fault = [&] {
       rupture::RuptureConfig rc;
       rc.globalDims = {130, 30, 34};

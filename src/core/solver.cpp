@@ -10,6 +10,7 @@
 #include "fault/injector.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "util/error.hpp"
+#include "util/fp_mode.hpp"
 #include "util/hot.hpp"
 
 namespace awp::core {
@@ -379,8 +380,13 @@ AWP_HOT void WaveSolver::step() {
   // step behind its neighbors (which beat, then block in the halo
   // exchange), so the watchdog can name the origin of a stall.
   if (guard_) guard_->beat(comm_.rank(), step_);
-  velocityPhase();
-  stressPhase();
+  {
+    // The wavefield update flushes subnormals; every record and product
+    // below is made in the caller's IEEE mode (DESIGN.md §16).
+    ScopedFlushDenormals ftz;
+    velocityPhase();
+    stressPhase();
+  }
   observationPhase();
   if (config_.barrierPerStep) {
     ScopedPhase t(phases_, Phase::Synchronize);

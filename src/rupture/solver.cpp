@@ -8,6 +8,7 @@
 #include "health/preflight.hpp"
 #include "telemetry/registry.hpp"
 #include "util/error.hpp"
+#include "util/fp_mode.hpp"
 
 namespace awp::rupture {
 
@@ -210,7 +211,10 @@ void DynamicRuptureSolver::step() {
   telemetry::stepMark(step_);
   telemetry::count(telemetry::Counter::CellsUpdated, grid_->dims().count());
   const core::Region r = core::Region::interior(*grid_);
+  // The wavefield update flushes subnormals; the slip-rate record between
+  // the two blocks runs in the caller's IEEE mode (DESIGN.md §16).
   {
+    ScopedFlushDenormals ftz;
     telemetry::ScopedSpan span(telemetry::Phase::VelocityKernel);
     core::updateVelocity(*grid_, config_.kernels);
     halo_->exchangeVelocities(*grid_);
@@ -221,24 +225,28 @@ void DynamicRuptureSolver::step() {
     recordSlipRates();
   }
   {
-    telemetry::ScopedSpan span(telemetry::Phase::StressKernel);
-    core::updateStress(*grid_, core::StressGroup::Normal, config_.kernels, r);
-    core::updateStress(*grid_, core::StressGroup::XY, config_.kernels, r);
-    core::updateStress(*grid_, core::StressGroup::XZ, config_.kernels, r);
-    core::updateStress(*grid_, core::StressGroup::YZ, config_.kernels, r);
-  }
-  {
-    telemetry::ScopedSpan span(telemetry::Phase::Rupture);
-    faultCondition();
-  }
-  {
-    telemetry::ScopedSpan span(telemetry::Phase::StressKernel);
-    freeSurface_->applyStressImages(*grid_);
-    halo_->exchangeStresses(*grid_);
-  }
-  {
-    telemetry::ScopedSpan span(telemetry::Phase::Absorb);
-    sponge_->apply(*grid_);
+    ScopedFlushDenormals ftz;
+    {
+      telemetry::ScopedSpan span(telemetry::Phase::StressKernel);
+      core::updateStress(*grid_, core::StressGroup::Normal, config_.kernels,
+                         r);
+      core::updateStress(*grid_, core::StressGroup::XY, config_.kernels, r);
+      core::updateStress(*grid_, core::StressGroup::XZ, config_.kernels, r);
+      core::updateStress(*grid_, core::StressGroup::YZ, config_.kernels, r);
+    }
+    {
+      telemetry::ScopedSpan span(telemetry::Phase::Rupture);
+      faultCondition();
+    }
+    {
+      telemetry::ScopedSpan span(telemetry::Phase::StressKernel);
+      freeSurface_->applyStressImages(*grid_);
+      halo_->exchangeStresses(*grid_);
+    }
+    {
+      telemetry::ScopedSpan span(telemetry::Phase::Absorb);
+      sponge_->apply(*grid_);
+    }
   }
   ++step_;
 }

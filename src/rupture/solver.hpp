@@ -1,5 +1,6 @@
 #pragma once
-// DFR: the dynamic fault rupture solver — AWP-ODC's "SGSN mode" (Fig 6).
+// DFR: the dynamic fault rupture solver, AWP-ODC's "SGSN mode" (Fig 6)
+// with a traction-bounding fault in place of split nodes (see below).
 // A vertical planar fault (normal +y) is embedded in the FD volume on the
 // plane y = faultJ + 1/2, which in our staggering is exactly the plane
 // carrying the σxy (strike-direction) and σyz (dip-direction) shear

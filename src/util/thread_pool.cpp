@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include "util/error.hpp"
+#include "util/fp_mode.hpp"
 
 namespace awp {
 
@@ -34,8 +35,10 @@ void ThreadPool::workerLoop(std::size_t index) {
       seen = generation_;
       task = tasks_[index];
     }
-    if (task.fn != nullptr && task.begin < task.end)
+    if (task.fn != nullptr && task.begin < task.end) {
+      ScopedFpControl mode(task.fpControl);
       (*task.fn)(task.begin, task.end);
+    }
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --pending_;
@@ -52,6 +55,7 @@ void ThreadPool::parallelFor(
   const std::size_t parts = threads_.size() + 1;
   const std::size_t chunk = (n + parts - 1) / parts;
 
+  const std::uint32_t mode = fpControl();
   Task mine{};
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -60,6 +64,7 @@ void ThreadPool::parallelFor(
       tasks_[w].begin = std::min(at, end);
       tasks_[w].end = std::min(at + chunk, end);
       tasks_[w].fn = &fn;
+      tasks_[w].fpControl = mode;
       at += chunk;
     }
     mine.begin = std::min(at, end);

@@ -7,6 +7,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -30,6 +31,9 @@ class ThreadPool {
 
   // Run fn(begin, end) over contiguous chunks of [begin, end) on the
   // workers plus the calling thread; returns when every chunk is done.
+  // Each worker runs its chunk in the caller's FP control mode (FTZ/DAZ,
+  // rounding), so a chunk's arithmetic does not depend on which thread
+  // ran it.
   void parallelFor(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -37,6 +41,7 @@ class ThreadPool {
   struct Task {
     std::size_t begin = 0, end = 0;
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    std::uint32_t fpControl = 0;  // the caller's FP mode (util/fp_mode.hpp)
   };
 
   void workerLoop(std::size_t index);

@@ -10,10 +10,13 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <random>
+#include <span>
 
 #include "core/kernels.hpp"
 #include "core/solver.hpp"
+#include "util/fp_mode.hpp"
 #include "util/thread_pool.hpp"
 #include "vcluster/cluster.hpp"
 
@@ -253,6 +256,39 @@ TEST(Attenuation, LowQReducesAmplitude) {
   EXPECT_LT(q10, 0.8f * elastic);
 }
 
+TEST(Attenuation, FlushToZeroKeepsSurfacePgv) {
+  // Pinned to the build whose wavefield update ran IEEE gradual underflow
+  // (DESIGN.md §16): an attenuated explosion on 2x2 ranks, read through
+  // the gathered PGV-H map. Tolerance 1e-6 relative, about 16 float32
+  // ulps: the flush perturbs only values under FLT_MIN ahead of the
+  // wavefront, so a larger move is a real change. The flush left the peak
+  // unchanged and moved the map norm by 2.4e-9 relative
+  // (0.026402261897140723 before).
+  double peak = 0.0, norm = 0.0;
+  ThreadCluster::run(4, [&](vcluster::Communicator& comm) {
+    CartTopology topo(Dims3{2, 2, 1});
+    auto config = baseConfig(48);
+    config.attenuation.enabled = true;
+    config.attenuation.fMin = 0.5;
+    config.attenuation.fMax = 10.0;
+    WaveSolver solver(comm, topo, config, rock());
+    solver.addSource(explosionPointSource(
+        11, 13, 12, rickerWavelet(5.0, 0.3, solver.config().dt, 80, 1e15)));
+    solver.run(120);
+    const auto map = solver.surface().gatherPgvh(comm, topo);
+    if (comm.rank() != 0) return;
+    for (float v : map) {
+      peak = std::max(peak, static_cast<double>(v));
+      norm += static_cast<double>(v) * v;
+    }
+    norm = std::sqrt(norm);
+  });
+  const double wantPeak = 0.0012542317854240537;
+  const double wantNorm = 0.026402261897140723;
+  EXPECT_NEAR(peak, wantPeak, 1e-6 * wantPeak);
+  EXPECT_NEAR(norm, wantNorm, 1e-6 * wantNorm);
+}
+
 TEST(Kernels, VariantsAgree) {
   // All §IV.B variants must produce the same physics.
   auto runVariant = [&](bool recip, bool blocked) {
@@ -427,6 +463,94 @@ TEST(FastKernel, BitIdenticalWithBlockingPoolAndDivisions) {
                      StressGroup::YZ})
     reference::updateStress(ref, group, divisions, Region::interior(ref));
   expectBitIdentical(fast, ref, "divisions");
+}
+
+// --- Flush-to-zero deviation (DESIGN.md §16) --------------------------------
+// An attenuated explosion driven straight through the production kernels
+// in lockstep on two grids: one in IEEE gradual underflow, one inside
+// ScopedFlushDenormals as WaveSolver::step runs them.
+
+using FieldPtr = Array3f grid::StaggeredGrid::*;
+constexpr FieldPtr kVelocities[] = {&grid::StaggeredGrid::u,
+                                    &grid::StaggeredGrid::v,
+                                    &grid::StaggeredGrid::w};
+// Stresses and their memory variables share units.
+constexpr FieldPtr kStresses[] = {
+    &grid::StaggeredGrid::xx,  &grid::StaggeredGrid::yy,
+    &grid::StaggeredGrid::zz,  &grid::StaggeredGrid::xy,
+    &grid::StaggeredGrid::xz,  &grid::StaggeredGrid::yz,
+    &grid::StaggeredGrid::rxx, &grid::StaggeredGrid::ryy,
+    &grid::StaggeredGrid::rzz, &grid::StaggeredGrid::rxy,
+    &grid::StaggeredGrid::rxz, &grid::StaggeredGrid::ryz};
+
+struct FieldStats {
+  std::size_t subnormals = 0;  // summed over steps
+  double peak = 0.0;           // max |plain| over steps
+  double deviation = 0.0;      // max |plain - flushed| over steps
+};
+
+void accumulate(FieldStats& s, const grid::StaggeredGrid& plain,
+                const grid::StaggeredGrid& flushed,
+                std::span<const FieldPtr> fields,
+                std::size_t& flushedSubnormals) {
+  for (FieldPtr m : fields)
+    for (std::size_t n = 0; n < (plain.*m).size(); ++n) {
+      const float a = (plain.*m).data()[n];
+      const float b = (flushed.*m).data()[n];
+      s.subnormals += std::fpclassify(a) == FP_SUBNORMAL ? 1 : 0;
+      flushedSubnormals += std::fpclassify(b) == FP_SUBNORMAL ? 1 : 0;
+      s.peak = std::max(s.peak, std::abs(static_cast<double>(a)));
+      s.deviation = std::max(
+          s.deviation, std::abs(static_cast<double>(a) - b));
+    }
+}
+
+TEST(FlushToZero, DeviationFromIeeeStaysBelowFloatResolutionOfThePeak) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "ScopedFlushDenormals is a no-op on this target";
+#endif
+  // The source sits 8 cells from one corner, so after 60 steps the far
+  // side of the box is still ahead of the wavefront, where fields decay
+  // through the subnormal range.
+  grid::AttenuationConfig q;
+  q.enabled = true;
+  q.fMin = 0.5;
+  q.fMax = 10.0;
+  const double dt = 0.005;
+  const std::size_t steps = 60;
+  grid::StaggeredGrid plain({48, 40, 40}, 100.0, dt, q);
+  plain.setUniformMaterial(rock());
+  grid::StaggeredGrid flushed = plain;
+  const auto stf = rickerWavelet(5.0, 0.2, dt, steps, 1.0e6);
+  const std::size_t c = kHalo + 8;
+  const KernelOptions opts;
+  FieldStats vel, str;
+  std::size_t flushedSubnormals = 0;
+  for (std::size_t n = 0; n < steps; ++n) {
+    for (grid::StaggeredGrid* g : {&plain, &flushed}) {
+      {
+        std::optional<ScopedFlushDenormals> ftz;
+        if (g == &flushed) ftz.emplace();
+        updateVelocity(*g, opts);
+        updateStress(*g, opts);
+      }
+      for (Array3f* f : {&g->xx, &g->yy, &g->zz}) (*f)(c, c, c) += stf[n];
+    }
+    accumulate(vel, plain, flushed, kVelocities, flushedSubnormals);
+    accumulate(str, plain, flushed, kStresses, flushedSubnormals);
+  }
+  EXPECT_GT(vel.subnormals, 0u);
+  EXPECT_GT(str.subnormals, 0u);
+  EXPECT_EQ(flushedSubnormals, 0u);
+  EXPECT_GT(vel.deviation, 0.0) << "the flush changed nothing";
+  // Tolerance: half an ulp of the peak, 2^-24 * peak. Below it, no float32
+  // value at the scale of the peak -- what PGV, slip and Mw read -- can
+  // tell the two runs apart. The flush perturbs only values under FLT_MIN
+  // ahead of the wavefront; this run measures 1.5e-19 (velocity) and
+  // 5e-20 (stress) of the peak, eleven decades inside the bound.
+  const double halfUlp = std::ldexp(1.0, -24);
+  EXPECT_LT(vel.deviation, halfUlp * vel.peak);
+  EXPECT_LT(str.deviation, halfUlp * str.peak);
 }
 
 TEST(FastKernel, RegionBreachingTheStencilReachThrows) {

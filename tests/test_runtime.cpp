@@ -1,11 +1,14 @@
 // Tests for the later-added platform features: the §IV.D hybrid
-// (thread-parallel) kernel mode, the §III.G runtime configuration, and
-// the §III.I dPDA derived products.
+// (thread-parallel) kernel mode and the floating-point mode it carries into
+// its workers, the §III.G runtime configuration, and the §III.I dPDA
+// derived products.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cfloat>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 
@@ -13,6 +16,7 @@
 #include "core/runtime_config.hpp"
 #include "core/solver.hpp"
 #include "util/error.hpp"
+#include "util/fp_mode.hpp"
 #include "util/thread_pool.hpp"
 #include "vcluster/cluster.hpp"
 
@@ -66,6 +70,65 @@ TEST(ThreadPool, SingleWorkerRunsInline) {
   EXPECT_EQ(sum, 45);
 }
 
+// --- Floating-point mode (util/fp_mode.hpp) ---------------------------------
+
+// FLT_MIN / 2 computed at run time: volatile loads and store keep the
+// multiply between the mode switches instead of folded or hoisted.
+float halfOfFltMin() {
+  volatile float x = FLT_MIN;
+  volatile float half = 0.5f;
+  volatile float product = x * half;
+  return product;
+}
+
+TEST(FpMode, FlushesSubnormalProductsOnlyInsideTheScope) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "ScopedFlushDenormals is a no-op on this target";
+#endif
+  EXPECT_EQ(std::fpclassify(halfOfFltMin()), FP_SUBNORMAL);
+  {
+    ScopedFlushDenormals ftz;
+    EXPECT_EQ(halfOfFltMin(), 0.0f);
+  }
+  EXPECT_EQ(std::fpclassify(halfOfFltMin()), FP_SUBNORMAL);
+}
+
+TEST(FpMode, RestoresTheCallersModeWhenAnExceptionUnwinds) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "ScopedFlushDenormals is a no-op on this target";
+#endif
+  const std::uint32_t before = fpControl();
+  EXPECT_THROW(
+      {
+        ScopedFlushDenormals ftz;
+        EXPECT_EQ(fpControl() & kFlushDenormalBits, kFlushDenormalBits);
+        throw Error("unwind through the scope");
+      },
+      Error);
+  EXPECT_EQ(fpControl(), before);
+  EXPECT_EQ(std::fpclassify(halfOfFltMin()), FP_SUBNORMAL);
+}
+
+TEST(FpMode, PoolChunksRunInTheCallersMode) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "ScopedFlushDenormals is a no-op on this target";
+#endif
+  // Eight indices over four workers: every helper thread runs a chunk.
+  ThreadPool pool(4);
+  std::vector<float> products(8, -1.0f);
+  const auto probe = [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) products[i] = halfOfFltMin();
+  };
+  {
+    ScopedFlushDenormals ftz;
+    pool.parallelFor(0, products.size(), probe);
+  }
+  for (float p : products) EXPECT_EQ(p, 0.0f);
+  // The workers drop the mode with the chunk.
+  pool.parallelFor(0, products.size(), probe);
+  for (float p : products) EXPECT_EQ(std::fpclassify(p), FP_SUBNORMAL);
+}
+
 // --- Hybrid solver equivalence (§IV.D) ---------------------------------------
 
 TEST(HybridMode, MatchesPureMessagePassing) {
@@ -95,6 +158,42 @@ TEST(HybridMode, MatchesPureMessagePassing) {
   ASSERT_EQ(pure.size(), hybrid.size());
   for (std::size_t n = 0; n < pure.size(); ++n)
     ASSERT_EQ(pure[n], hybrid[n]);  // bitwise: slabs don't change order
+}
+
+TEST(HybridMode, MatchesPureMessagePassingAheadOfTheWavefront) {
+  // A short run on a long box: at the last step the far end of the box is
+  // still ahead of the wavefront, where the fields decay through the range
+  // the solver step flushes. Every worker row must run in the step's mode,
+  // or the hybrid run keeps subnormals the pure run flushed.
+  auto run = [&](int threads) {
+    std::vector<std::vector<std::byte>> states(2);
+    float smallest = FLT_MAX;
+    ThreadCluster::run(2, [&](vcluster::Communicator& comm) {
+      CartTopology topo(Dims3{2, 1, 1});
+      core::SolverConfig config;
+      config.globalDims = {64, 16, 16};
+      config.h = 300.0;
+      config.hybridThreads = threads;
+      core::WaveSolver solver(comm, topo, config,
+                              vmodel::Material{5000.0f, 2900.0f, 2700.0f});
+      solver.addSource(core::explosionPointSource(
+          4, 8, 8,
+          core::rickerWavelet(3.0, 0.5, solver.config().dt, 12, 1e15)));
+      solver.run(12);
+      states[static_cast<std::size_t>(comm.rank())] =
+          solver.grid().saveState();
+      if (comm.rank() == 1)
+        for (float x : solver.grid().u)
+          if (x != 0.0f) smallest = std::min(smallest, std::abs(x));
+    });
+    return std::make_pair(states, smallest);
+  };
+  const auto [pure, smallest] = run(1);
+  const auto hybrid = run(3).first;
+  // The wavefront's tail reaches down to the flush threshold.
+  EXPECT_LT(smallest, 1e-30f);
+  for (std::size_t r = 0; r < pure.size(); ++r)
+    EXPECT_TRUE(pure[r] == hybrid[r]) << "rank " << r << " state differs";
 }
 
 // --- Runtime configuration (§III.G) ------------------------------------------

@@ -214,6 +214,20 @@ TEST(RuptureSolver, NucleatedRupturePropagates) {
   for (float v : h.peakSlipRate) EXPECT_LT(v, 50.0f);
 }
 
+TEST(RuptureSolver, FlushToZeroKeepsMagnitudeAndMeanSlip) {
+  // Pinned to the build whose wavefield update ran IEEE gradual underflow
+  // (DESIGN.md §16). Tolerances are 1e-6 in Mw (3.5e-6 relative in
+  // moment) and 1e-6 relative in mean slip, tens of float32 ulps: the
+  // flush perturbs only values under FLT_MIN ahead of the rupture front,
+  // so a larger move is a real change. On this scenario the flush moved
+  // neither value in any printed digit.
+  const auto h = runRupture(true, Dims3{2, 2, 1}, 300);
+  const double mw = 6.5238548318991816;
+  const double slip = 1.7115059986412524;
+  EXPECT_NEAR(h.momentMagnitude(), mw, 1e-6);
+  EXPECT_NEAR(h.averageSlip(), slip, 1e-6 * slip);
+}
+
 TEST(RuptureSolver, RuptureFrontIsCausal) {
   // Information cannot outrun the P wave: every node's rupture time must
   // be at least its distance from the nucleation patch divided by the
