@@ -221,7 +221,7 @@ void HaloExchanger::exchangeStresses(StaggeredGrid& g) {
 }
 
 void HaloExchanger::exchangeMaterial(StaggeredGrid& g) {
-  std::vector<Array3f*> arrays = {&g.rho, &g.lam, &g.mu, &g.lami, &g.mui};
+  std::vector<Array3f*> arrays = {&g.rho, &g.lam, &g.mu, &g.mui};
   if (g.attenuation().enabled) {
     arrays.push_back(&g.qsInv);
     arrays.push_back(&g.qpInv);

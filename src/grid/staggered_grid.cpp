@@ -14,8 +14,8 @@ StaggeredGrid::StaggeredGrid(GridDims dims, double h, double dt,
   AWP_CHECK(dims.nx >= 1 && dims.ny >= 1 && dims.nz >= 1);
   AWP_CHECK(h > 0.0 && dt > 0.0);
   const std::size_t ax = sx(), ay = sy(), az = sz();
-  for (Array3f* f : {&u, &v, &w, &xx, &yy, &zz, &xy, &xz, &yz, &rho, &lam,
-                     &mu, &lami, &mui})
+  for (Array3f* f :
+       {&u, &v, &w, &xx, &yy, &zz, &xy, &xz, &yz, &rho, &lam, &mu, &mui})
     f->resize(ax, ay, az);
   if (attenuation_.enabled) {
     for (Array3f* f :
@@ -148,10 +148,8 @@ void StaggeredGrid::clampFillMaterialHalo() {
 }
 
 void StaggeredGrid::deriveModuli() {
-  for (std::size_t n = 0; n < mu.size(); ++n) {
+  for (std::size_t n = 0; n < mu.size(); ++n)
     mui.data()[n] = mu.data()[n] > 0.0f ? 1.0f / mu.data()[n] : 0.0f;
-    lami.data()[n] = lam.data()[n] > 0.0f ? 1.0f / lam.data()[n] : 0.0f;
-  }
 }
 
 double StaggeredGrid::maxVp() const {

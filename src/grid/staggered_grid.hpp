@@ -68,12 +68,13 @@ class StaggeredGrid {
   Array3f u, v, w;
   Array3f xx, yy, zz, xy, xz, yz;
 
-  // Material. Both direct and reciprocal Lamé arrays are kept: the plain
-  // kernel uses lam/mu with per-use divisions, the optimized kernels use
-  // the stored reciprocals (§IV.B).
+  // Material. The normal-stress update reads lam and mu directly. The
+  // shear update takes the harmonic mean of the four μ around a node: the
+  // production kernels through the stored reciprocals mui (one division),
+  // the pre-v6.0 reference row with per-use divisions of mu (§IV.B).
   Array3f rho;
   Array3f lam, mu;
-  Array3f lami, mui;  // 1/λ, 1/μ
+  Array3f mui;  // 1/μ
 
   // Attenuation state: one memory variable per stress component per cell,
   // plus the per-cell relaxation time and modulus-defect factors.

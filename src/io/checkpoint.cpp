@@ -18,7 +18,10 @@
 namespace awp::io {
 
 namespace {
-constexpr std::uint64_t kMagic = 0x4157504f44435032ULL;  // "AWPODCP2"
+// "AWPODCP3": the header digest is the striped MD5 of the payload. A file
+// from before it ("AWPODCP2", RFC MD5) reads as a torn header, so the
+// reader falls back instead of reporting a digest mismatch.
+constexpr std::uint64_t kMagic = 0x4157504f44435033ULL;
 
 struct Header {
   std::uint64_t magic;
@@ -102,7 +105,7 @@ void CheckpointStore::write(int rank, std::uint64_t step,
   h.magic = kMagic;
   h.step = step;
   h.payloadBytes = state.size();
-  const auto digest = Md5::hash(state.data(), state.size());
+  const auto digest = stripedMd5(state.data(), state.size());
   std::memcpy(h.digest, digest.data(), sizeof(h.digest));
 
   // The digest above is of the true state; a "ckpt.payload" bit-flip
@@ -167,7 +170,7 @@ CheckpointStore::Restored CheckpointStore::loadSlot(int rank, int slot) const {
     r.step = h.step;
     r.state.resize(h.payloadBytes);
     f.readAt(sizeof(h), std::span<std::byte>(r.state));
-    const auto digest = Md5::hash(r.state.data(), r.state.size());
+    const auto digest = stripedMd5(r.state.data(), r.state.size());
     if (std::memcmp(digest.data(), h.digest, sizeof(h.digest)) != 0)
       throw Error("checkpoint digest mismatch for rank " +
                   std::to_string(rank) + " (torn or corrupted checkpoint)");

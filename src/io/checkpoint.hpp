@@ -5,11 +5,12 @@
 // responsible for writing and updating its own checkpoint data."
 //
 // Resilient layout: two generations per rank, <dir>/ckpt_rank<r>_g<0|1>.bin,
-// each holding a header (magic, step, payload size, MD5 of payload) followed
-// by the raw state blob. Writes go to "<final>.tmp" and are renamed into
-// the older generation slot only after an fsync, so a crash mid-write can
-// never destroy the previous good checkpoint. Reads verify the digest and
-// fall back from a torn/corrupt newest generation to the previous one.
+// each holding a header (magic, step, payload size, striped MD5 of the
+// payload; util/md5.hpp) followed by the raw state blob. Writes go to
+// "<final>.tmp" and are renamed into the older generation slot only after
+// an fsync, so a crash mid-write can never destroy the previous good
+// checkpoint. Reads verify the digest and fall back from a torn/corrupt
+// newest generation to the previous one.
 
 #include <cstdint>
 #include <optional>

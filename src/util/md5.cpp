@@ -1,5 +1,7 @@
 #include "util/md5.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -10,32 +12,130 @@ namespace {
 constexpr std::uint32_t kInit[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
                                     0x10325476u};
 
-// Per-round shift amounts (RFC 1321).
-constexpr int kShift[64] = {7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-                            7, 12, 17, 22, 5, 9,  14, 20, 5, 9,  14, 20,
-                            5, 9,  14, 20, 5, 9,  14, 20, 4, 11, 16, 23,
-                            4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-                            6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-                            6, 10, 15, 21};
+std::uint32_t loadLe32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
-// K[i] = floor(2^32 * abs(sin(i+1))).
-constexpr std::uint32_t kSine[64] = {
-    0xd76aa478u, 0xe8c7b756u, 0x242070dbu, 0xc1bdceeeu, 0xf57c0fafu,
-    0x4787c62au, 0xa8304613u, 0xfd469501u, 0x698098d8u, 0x8b44f7afu,
-    0xffff5bb1u, 0x895cd7beu, 0x6b901122u, 0xfd987193u, 0xa679438eu,
-    0x49b40821u, 0xf61e2562u, 0xc040b340u, 0x265e5a51u, 0xe9b6c7aau,
-    0xd62f105du, 0x02441453u, 0xd8a1e681u, 0xe7d3fbc8u, 0x21e1cde6u,
-    0xc33707d6u, 0xf4d50d87u, 0x455a14edu, 0xa9e3e905u, 0xfcefa3f8u,
-    0x676f02d9u, 0x8d2a4c8au, 0xfffa3942u, 0x8771f681u, 0x6d9d6122u,
-    0xfde5380cu, 0xa4beea44u, 0x4bdecfa9u, 0xf6bb4b60u, 0xbebfbc70u,
-    0x289b7ec6u, 0xeaa127fau, 0xd4ef3085u, 0x04881d05u, 0xd9d4d039u,
-    0xe6db99e5u, 0x1fa27cf8u, 0xc4ac5665u, 0xf4292244u, 0x432aff97u,
-    0xab9423a7u, 0xfc93a039u, 0x655b59c3u, 0x8f0ccc92u, 0xffeff47du,
-    0x85845dd1u, 0x6fa87e4fu, 0xfe2ce6e0u, 0xa3014314u, 0x4e0811a1u,
-    0xf7537e82u, 0xbd3af235u, 0x2ad7d2bbu, 0xeb86d391u};
+void storeLe(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
+}
 
-std::uint32_t rotl(std::uint32_t x, int c) {
-  return (x << c) | (x >> (32 - c));
+// Message word j of a block: one little-endian 32-bit word for the
+// scalar core; for the striped digest, one lane vector read straight from
+// the stripe (word 8j + l of the stripe is word j of lane l, so the eight
+// lanes' words are 32 contiguous bytes). The vector is written through a
+// reference, never returned by value: no vector crosses a call boundary.
+inline void loadWord(std::uint32_t& out, const std::uint8_t* block, int j) {
+  out = loadLe32(block + 4 * j);
+}
+template <typename W>
+inline void loadWord(W& out, const std::uint8_t* block, int j) {
+  std::memcpy(&out, block + sizeof(W) * j, sizeof(W));
+}
+
+// One RFC 1321 step, a = b + ((a + f(b, c, d) + x[j] + k) <<< S), with
+// the round function f chosen by Round (F, G, H, I). W is std::uint32_t
+// for the scalar core or a GCC lane vector for the striped digest.
+template <int Round, int S, typename W>
+[[gnu::always_inline]] inline void step(W& a, const W& b, const W& c,
+                                        const W& d, const std::uint8_t* block,
+                                        int j, std::uint32_t k) {
+  W x;
+  loadWord(x, block, j);
+  if constexpr (Round == 0)
+    a += (d ^ (b & (c ^ d))) + x + k;
+  else if constexpr (Round == 1)
+    a += (c ^ (d & (b ^ c))) + x + k;
+  else if constexpr (Round == 2)
+    a += (b ^ c ^ d) + x + k;
+  else
+    a += (c ^ (b | ~d)) + x + k;
+  a = ((a << S) | (a >> (32 - S))) + b;
+}
+
+// The 64 steps of one block, unrolled, with the RFC's message-word
+// schedule, shifts and sine constants K[i] = floor(2^32 |sin(i + 1)|).
+template <typename W>
+[[gnu::always_inline]] inline void rounds(W (&s)[4],
+                                          const std::uint8_t* block) {
+  W a = s[0], b = s[1], c = s[2], d = s[3];
+
+  step<0, 7>(a, b, c, d, block, 0, 0xd76aa478u);
+  step<0, 12>(d, a, b, c, block, 1, 0xe8c7b756u);
+  step<0, 17>(c, d, a, b, block, 2, 0x242070dbu);
+  step<0, 22>(b, c, d, a, block, 3, 0xc1bdceeeu);
+  step<0, 7>(a, b, c, d, block, 4, 0xf57c0fafu);
+  step<0, 12>(d, a, b, c, block, 5, 0x4787c62au);
+  step<0, 17>(c, d, a, b, block, 6, 0xa8304613u);
+  step<0, 22>(b, c, d, a, block, 7, 0xfd469501u);
+  step<0, 7>(a, b, c, d, block, 8, 0x698098d8u);
+  step<0, 12>(d, a, b, c, block, 9, 0x8b44f7afu);
+  step<0, 17>(c, d, a, b, block, 10, 0xffff5bb1u);
+  step<0, 22>(b, c, d, a, block, 11, 0x895cd7beu);
+  step<0, 7>(a, b, c, d, block, 12, 0x6b901122u);
+  step<0, 12>(d, a, b, c, block, 13, 0xfd987193u);
+  step<0, 17>(c, d, a, b, block, 14, 0xa679438eu);
+  step<0, 22>(b, c, d, a, block, 15, 0x49b40821u);
+
+  step<1, 5>(a, b, c, d, block, 1, 0xf61e2562u);
+  step<1, 9>(d, a, b, c, block, 6, 0xc040b340u);
+  step<1, 14>(c, d, a, b, block, 11, 0x265e5a51u);
+  step<1, 20>(b, c, d, a, block, 0, 0xe9b6c7aau);
+  step<1, 5>(a, b, c, d, block, 5, 0xd62f105du);
+  step<1, 9>(d, a, b, c, block, 10, 0x02441453u);
+  step<1, 14>(c, d, a, b, block, 15, 0xd8a1e681u);
+  step<1, 20>(b, c, d, a, block, 4, 0xe7d3fbc8u);
+  step<1, 5>(a, b, c, d, block, 9, 0x21e1cde6u);
+  step<1, 9>(d, a, b, c, block, 14, 0xc33707d6u);
+  step<1, 14>(c, d, a, b, block, 3, 0xf4d50d87u);
+  step<1, 20>(b, c, d, a, block, 8, 0x455a14edu);
+  step<1, 5>(a, b, c, d, block, 13, 0xa9e3e905u);
+  step<1, 9>(d, a, b, c, block, 2, 0xfcefa3f8u);
+  step<1, 14>(c, d, a, b, block, 7, 0x676f02d9u);
+  step<1, 20>(b, c, d, a, block, 12, 0x8d2a4c8au);
+
+  step<2, 4>(a, b, c, d, block, 5, 0xfffa3942u);
+  step<2, 11>(d, a, b, c, block, 8, 0x8771f681u);
+  step<2, 16>(c, d, a, b, block, 11, 0x6d9d6122u);
+  step<2, 23>(b, c, d, a, block, 14, 0xfde5380cu);
+  step<2, 4>(a, b, c, d, block, 1, 0xa4beea44u);
+  step<2, 11>(d, a, b, c, block, 4, 0x4bdecfa9u);
+  step<2, 16>(c, d, a, b, block, 7, 0xf6bb4b60u);
+  step<2, 23>(b, c, d, a, block, 10, 0xbebfbc70u);
+  step<2, 4>(a, b, c, d, block, 13, 0x289b7ec6u);
+  step<2, 11>(d, a, b, c, block, 0, 0xeaa127fau);
+  step<2, 16>(c, d, a, b, block, 3, 0xd4ef3085u);
+  step<2, 23>(b, c, d, a, block, 6, 0x04881d05u);
+  step<2, 4>(a, b, c, d, block, 9, 0xd9d4d039u);
+  step<2, 11>(d, a, b, c, block, 12, 0xe6db99e5u);
+  step<2, 16>(c, d, a, b, block, 15, 0x1fa27cf8u);
+  step<2, 23>(b, c, d, a, block, 2, 0xc4ac5665u);
+
+  step<3, 6>(a, b, c, d, block, 0, 0xf4292244u);
+  step<3, 10>(d, a, b, c, block, 7, 0x432aff97u);
+  step<3, 15>(c, d, a, b, block, 14, 0xab9423a7u);
+  step<3, 21>(b, c, d, a, block, 5, 0xfc93a039u);
+  step<3, 6>(a, b, c, d, block, 12, 0x655b59c3u);
+  step<3, 10>(d, a, b, c, block, 3, 0x8f0ccc92u);
+  step<3, 15>(c, d, a, b, block, 10, 0xffeff47du);
+  step<3, 21>(b, c, d, a, block, 1, 0x85845dd1u);
+  step<3, 6>(a, b, c, d, block, 8, 0x6fa87e4fu);
+  step<3, 10>(d, a, b, c, block, 15, 0xfe2ce6e0u);
+  step<3, 15>(c, d, a, b, block, 6, 0xa3014314u);
+  step<3, 21>(b, c, d, a, block, 13, 0x4e0811a1u);
+  step<3, 6>(a, b, c, d, block, 4, 0xf7537e82u);
+  step<3, 10>(d, a, b, c, block, 11, 0xbd3af235u);
+  step<3, 15>(c, d, a, b, block, 2, 0x2ad7d2bbu);
+  step<3, 21>(b, c, d, a, block, 9, 0xeb86d391u);
+
+  s[0] += a;
+  s[1] += b;
+  s[2] += c;
+  s[3] += d;
 }
 
 }  // namespace
@@ -49,89 +149,45 @@ void Md5::reset() {
   finalized_ = false;
 }
 
-void Md5::processBlock(const std::uint8_t* block) {
-  std::uint32_t m[16];
-  for (int i = 0; i < 16; ++i) {
-    m[i] = static_cast<std::uint32_t>(block[4 * i]) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 8) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 3]) << 24);
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    const std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + rotl(a + f + kSine[i] + m[g], kShift[i]);
-    a = tmp;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
+void Md5::compress(std::uint32_t (&state)[4], const std::uint8_t* block) {
+  rounds(state, block);
 }
 
 void Md5::update(const void* data, std::size_t len) {
   AWP_CHECK_MSG(!finalized_, "Md5::update after digest()");
+  if (len == 0) return;
   const auto* p = static_cast<const std::uint8_t*>(data);
   totalBits_ += static_cast<std::uint64_t>(len) * 8;
 
-  while (len > 0) {
+  if (bufferLen_ > 0) {
     const std::size_t take = std::min<std::size_t>(64 - bufferLen_, len);
     std::memcpy(buffer_ + bufferLen_, p, take);
     bufferLen_ += take;
     p += take;
     len -= take;
-    if (bufferLen_ == 64) {
-      processBlock(buffer_);
-      bufferLen_ = 0;
-    }
+    if (bufferLen_ < 64) return;
+    compress(state_, buffer_);
+    bufferLen_ = 0;
   }
+  // Full blocks straight from the caller's buffer.
+  for (; len >= 64; p += 64, len -= 64) compress(state_, p);
+  if (len > 0) std::memcpy(buffer_, p, len);
+  bufferLen_ = len;
 }
 
 std::array<std::uint8_t, 16> Md5::digest() {
   AWP_CHECK_MSG(!finalized_, "Md5::digest called twice");
-  finalized_ = true;
-
-  const std::uint64_t bits = totalBits_;
-  // Padding: 0x80 then zeros until length ≡ 56 (mod 64), then 8 length bytes.
-  std::uint8_t pad = 0x80;
-  std::size_t padLen = (bufferLen_ < 56) ? (56 - bufferLen_)
-                                         : (120 - bufferLen_);
-  finalized_ = false;  // allow the padding updates below
-  update(&pad, 1);
-  std::uint8_t zero = 0;
-  for (std::size_t i = 1; i < padLen; ++i) update(&zero, 1);
-  std::uint8_t lenBytes[8];
-  for (int i = 0; i < 8; ++i)
-    lenBytes[i] = static_cast<std::uint8_t>((bits >> (8 * i)) & 0xff);
-  update(lenBytes, 8);
+  // Padding: 0x80 then zeros until length ≡ 56 (mod 64), then the message
+  // length in bits as 8 little-endian bytes.
+  std::uint8_t pad[72] = {0x80};
+  const std::size_t padLen =
+      bufferLen_ < 56 ? 56 - bufferLen_ : 120 - bufferLen_;
+  storeLe(pad + padLen, totalBits_, 8);
+  update(pad, padLen + 8);
   finalized_ = true;
 
   std::array<std::uint8_t, 16> out;
-  for (int i = 0; i < 4; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state_[i] & 0xff);
-    out[4 * i + 1] = static_cast<std::uint8_t>((state_[i] >> 8) & 0xff);
-    out[4 * i + 2] = static_cast<std::uint8_t>((state_[i] >> 16) & 0xff);
-    out[4 * i + 3] = static_cast<std::uint8_t>((state_[i] >> 24) & 0xff);
-  }
+  for (int i = 0; i < 4; ++i) storeLe(out.data() + 4 * i, state_[i], 4);
   return out;
 }
 
@@ -154,6 +210,37 @@ std::string Md5::toHex(const std::array<std::uint8_t, 16>& d) {
 
 std::string Md5::hexDigest(const void* data, std::size_t len) {
   return toHex(hash(data, len));
+}
+
+std::array<std::uint8_t, 16> stripedMd5(const void* data, std::size_t len) {
+  // One element per lane, written once with GCC vector extensions: the
+  // compiler lowers it to the vector width the build targets (two SSE2
+  // registers per value on the x86-64 baseline). The vectors stay inside
+  // this function, so -Wpsabi has no by-value vector to warn about.
+  using Lanes = std::uint32_t __attribute__((vector_size(4 * kMd5Lanes)));
+  static_assert(16 * sizeof(Lanes) == kMd5StripeBytes);
+  // loadWord reads the stripe in host order; that is the RFC's
+  // little-endian word order only on a little-endian host.
+  static_assert(std::endian::native == std::endian::little,
+                "stripedMd5 reads host-order words");
+
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  Lanes s[4];
+  for (int i = 0; i < 4; ++i) s[i] = Lanes{} + kInit[i];
+  for (std::size_t n = len / kMd5StripeBytes; n > 0;
+       --n, p += kMd5StripeBytes)
+    rounds(s, p);
+
+  std::uint8_t states[16 * kMd5Lanes];
+  for (std::size_t l = 0; l < kMd5Lanes; ++l)
+    for (int i = 0; i < 4; ++i) storeLe(states + 16 * l + 4 * i, s[i][l], 4);
+  std::uint8_t length[8];
+  storeLe(length, len, 8);
+  Md5 outer;
+  outer.update(states, sizeof(states));
+  outer.update(p, len % kMd5StripeBytes);
+  outer.update(length, sizeof(length));
+  return outer.digest();
 }
 
 }  // namespace awp

@@ -344,10 +344,8 @@ grid::StaggeredGrid randomGrid(grid::GridDims dims, bool attenuation,
   fill(g.rho, 1500.0f, 3000.0f);
   fill(g.lam, 1e9f, 3e10f);
   fill(g.mu, 1e9f, 3e10f);
-  for (std::size_t n = 0; n < g.mu.size(); ++n) {
-    g.lami.data()[n] = 1.0f / g.lam.data()[n];
+  for (std::size_t n = 0; n < g.mu.size(); ++n)
     g.mui.data()[n] = 1.0f / g.mu.data()[n];
-  }
   if (attenuation) {
     for (Array3f* f : {&g.rxx, &g.ryy, &g.rzz, &g.rxy, &g.rxz, &g.ryz})
       fill(*f, -1e3f, 1e3f);

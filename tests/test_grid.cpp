@@ -32,7 +32,6 @@ TEST(StaggeredGrid, UniformMaterialDerivesReciprocals) {
   const float mu = g.mu(3, 3, 3);
   EXPECT_GT(mu, 0.0f);
   EXPECT_FLOAT_EQ(g.mui(3, 3, 3), 1.0f / mu);
-  EXPECT_FLOAT_EQ(g.lami(3, 3, 3), 1.0f / g.lam(3, 3, 3));
 }
 
 TEST(StaggeredGrid, StableDtScalesWithH) {

@@ -227,6 +227,57 @@ TEST_F(CheckpointTest, FallsBackOnTornHeader) {
   EXPECT_EQ(restored.state, oldState);
 }
 
+// Header layout: magic, step, payload bytes (8 bytes each), then the
+// 16-byte digest.
+constexpr std::size_t kDigestOffset = 24;
+
+TEST_F(CheckpointTest, HeaderCarriesTheStripedDigest) {
+  CheckpointStore store(path("ckpt"));
+  std::vector<std::byte> state(3 * kMd5StripeBytes + 40);
+  for (std::size_t i = 0; i < state.size(); ++i)
+    state[i] = static_cast<std::byte>((i * 131) & 0xff);
+  store.write(0, 7, state);
+  SharedFile f(store.pathFor(0), SharedFile::Mode::Read);
+  std::array<std::uint8_t, 16> stored{};
+  f.readAt(kDigestOffset, std::span<std::uint8_t>(stored));
+  EXPECT_EQ(stored, stripedMd5(state.data(), state.size()));
+}
+
+TEST_F(CheckpointTest, PreviousFormatReadsAsTornHeader) {
+  CheckpointStore store(path("ckpt"));
+  std::vector<std::byte> oldState(600, std::byte{0x66});
+  std::vector<std::byte> newState(600, std::byte{0x77});
+  store.write(0, 10, oldState);
+  store.write(0, 20, newState);
+  // Rewrite the newest generation as the previous format had it: magic
+  // "AWPODCP2" and the RFC MD5 of the payload.
+  auto toPreviousFormat = [](const std::string& file,
+                             const std::vector<std::byte>& payload) {
+    SharedFile f(file, SharedFile::Mode::ReadWrite);
+    const std::uint64_t magic = 0x4157504f44435032ULL;
+    f.writeAt(0, std::span<const std::byte>(
+                     reinterpret_cast<const std::byte*>(&magic), 8));
+    const auto rfc = Md5::hash(payload.data(), payload.size());
+    f.writeAt(kDigestOffset, std::span<const std::uint8_t>(rfc));
+  };
+  toPreviousFormat(store.pathFor(0), newState);
+  const auto restored = store.read(0);
+  EXPECT_EQ(restored.step, 10u);
+  EXPECT_EQ(restored.state, oldState);
+  EXPECT_EQ(store.validSteps(0), std::vector<std::uint64_t>{10});
+
+  toPreviousFormat(store.pathFor(0), oldState);
+  try {
+    store.read(0);
+    ADD_FAILURE() << "a previous-format checkpoint was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("gen 0: torn header"), std::string::npos) << what;
+    EXPECT_NE(what.find("gen 1: torn header"), std::string::npos) << what;
+    EXPECT_EQ(what.find("digest mismatch"), std::string::npos) << what;
+  }
+}
+
 TEST_F(CheckpointTest, MissingNewestGenerationUsesPrevious) {
   CheckpointStore store(path("ckpt"));
   std::vector<std::byte> oldState(64, std::byte{0x33});

@@ -208,7 +208,9 @@ TEST(RuptureSolver, NucleatedRupturePropagates) {
   float tNear = -1.0f, tFar = -1.0f;
   tNear = h.ruptureTime[iNuc + 4 + h.nx * kMid];
   tFar = h.ruptureTime[std::min(h.nx - 2, iNuc + 24) + h.nx * kMid];
-  if (tNear >= 0.0f && tFar >= 0.0f) EXPECT_GT(tFar, tNear);
+  if (tNear >= 0.0f && tFar >= 0.0f) {
+    EXPECT_GT(tFar, tNear);
+  }
 
   // Peak slip rates are physically bounded (paper: ~10 m/s patches).
   for (float v : h.peakSlipRate) EXPECT_LT(v, 50.0f);

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "util/array3.hpp"
@@ -235,6 +238,148 @@ TEST(Md5, Rfc1321Vectors) {
   EXPECT_EQ(Md5::hexDigest(msg, 14), "f96b697d7cb7938d525a2f31aaf161d0");
   const char* alpha = "abcdefghijklmnopqrstuvwxyz";
   EXPECT_EQ(Md5::hexDigest(alpha, 26), "c3fcd3d76192e4007dfb496cca67e13b");
+  const char* alnum =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+  EXPECT_EQ(Md5::hexDigest(alnum, 62), "d174ab98d277d9f5a5611c2c9f419d9f");
+  const std::string digits = [] {
+    std::string s;
+    for (int i = 0; i < 8; ++i) s += "1234567890";
+    return s;
+  }();
+  EXPECT_EQ(Md5::hexDigest(digits.data(), digits.size()),
+            "57edf4a22be3c955ac49da2e2107b67a");
+}
+
+// Deterministic non-repeating bytes for the digest tests.
+std::vector<std::uint8_t> patternBytes(std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  std::uint32_t x = 0x9e3779b9u;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  return out;
+}
+
+TEST(Md5, EverySplitOfAMessageMatchesOneShot) {
+  const auto msg = patternBytes(200);
+  const auto whole = Md5::hash(msg.data(), msg.size());
+  for (std::size_t cut = 0; cut <= msg.size(); ++cut) {
+    Md5 h;
+    h.update(msg.data(), cut);
+    h.update(msg.data() + cut, msg.size() - cut);
+    EXPECT_EQ(h.digest(), whole) << "split at " << cut;
+  }
+}
+
+TEST(Md5, OddSplitsOfALargeBufferMatchOneShot) {
+  // Odd offsets leave a partial block buffered, so the full blocks after
+  // it are compressed straight from an unaligned caller pointer.
+  const auto buf = patternBytes(3u << 20);
+  const auto whole = Md5::hash(buf.data(), buf.size());
+  for (std::size_t cut : {1u, 63u, 65u, 511u, 4097u, 1000001u, 3145597u}) {
+    Md5 h;
+    h.update(buf.data(), cut);
+    h.update(buf.data() + cut, 129);
+    h.update(buf.data() + cut + 129, buf.size() - cut - 129);
+    EXPECT_EQ(h.digest(), whole) << "split at " << cut;
+  }
+}
+
+// The striped digest rebuilt one lane at a time from the RFC compression
+// function: lane l's 64-byte block of each stripe is words l, l+8, ...
+std::array<std::uint8_t, 16> stripedOracle(const std::uint8_t* p,
+                                           std::size_t len) {
+  std::uint32_t lanes[kMd5Lanes][4];
+  for (auto& s : lanes) {
+    s[0] = 0x67452301u;
+    s[1] = 0xefcdab89u;
+    s[2] = 0x98badcfeu;
+    s[3] = 0x10325476u;
+  }
+  const std::size_t stripes = len / kMd5StripeBytes;
+  for (std::size_t n = 0; n < stripes; ++n) {
+    const std::uint8_t* stripe = p + n * kMd5StripeBytes;
+    for (std::size_t l = 0; l < kMd5Lanes; ++l) {
+      std::uint8_t block[64];
+      for (std::size_t j = 0; j < 16; ++j)
+        std::memcpy(block + 4 * j, stripe + 4 * (kMd5Lanes * j + l), 4);
+      Md5::compress(lanes[l], block);
+    }
+  }
+  Md5 outer;
+  for (const auto& s : lanes)
+    for (std::uint32_t word : s)
+      for (int b = 0; b < 4; ++b) {
+        const auto byte = static_cast<std::uint8_t>(word >> (8 * b));
+        outer.update(&byte, 1);
+      }
+  outer.update(p + stripes * kMd5StripeBytes, len % kMd5StripeBytes);
+  for (int b = 0; b < 8; ++b) {
+    const auto byte = static_cast<std::uint8_t>(
+        static_cast<std::uint64_t>(len) >> (8 * b));
+    outer.update(&byte, 1);
+  }
+  return outer.digest();
+}
+
+TEST(StripedMd5, MatchesPerLaneOracle) {
+  const auto buf = patternBytes(3200 * 1024 + 77);
+  for (std::size_t len = 0; len <= 1100; ++len)
+    ASSERT_EQ(stripedMd5(buf.data(), len), stripedOracle(buf.data(), len))
+        << "length " << len;
+  EXPECT_EQ(stripedMd5(buf.data(), buf.size()),
+            stripedOracle(buf.data(), buf.size()));
+  // Unaligned start: the stripes are read straight from the payload.
+  EXPECT_EQ(stripedMd5(buf.data() + 3, buf.size() - 3),
+            stripedOracle(buf.data() + 3, buf.size() - 3));
+}
+
+TEST(StripedMd5, IsNotThePayloadMd5AndKeysOnLength) {
+  const auto buf = patternBytes(2 * kMd5StripeBytes);
+  EXPECT_NE(stripedMd5(buf.data(), buf.size()),
+            Md5::hash(buf.data(), buf.size()));
+  // Same bytes, one stripe shorter: the length word separates them even
+  // where the tails agree.
+  const std::vector<std::uint8_t> zeros(2 * kMd5StripeBytes, 0);
+  EXPECT_NE(stripedMd5(zeros.data(), zeros.size()),
+            stripedMd5(zeros.data(), kMd5StripeBytes));
+  EXPECT_NE(stripedMd5(zeros.data(), 0), stripedMd5(zeros.data(), 1));
+}
+
+TEST(StripedMd5, EverySingleBitFlipChangesTheDigest) {
+  const std::size_t len = 3 * kMd5StripeBytes + 100;
+  const auto buf = patternBytes(len);
+  const auto clean = stripedMd5(buf.data(), len);
+  // Lane edges (first and last word of a stripe row, lane 0 and lane 7),
+  // stripe edges, and the tail.
+  const std::size_t lastWord = 4 * (kMd5Lanes - 1);
+  const std::vector<std::size_t> bytes = {
+      0,
+      3,
+      lastWord,
+      lastWord + 3,
+      4 * kMd5Lanes,
+      kMd5StripeBytes - 4,
+      kMd5StripeBytes - 1,
+      kMd5StripeBytes,
+      2 * kMd5StripeBytes - 1,
+      2 * kMd5StripeBytes,
+      3 * kMd5StripeBytes - 1,
+      3 * kMd5StripeBytes,
+      3 * kMd5StripeBytes + 50,
+      len - 1};
+  std::set<std::array<std::uint8_t, 16>> seen = {clean};
+  for (std::size_t at : bytes)
+    for (int bit : {0, 7}) {
+      auto flipped = buf;
+      flipped[at] ^= static_cast<std::uint8_t>(1u << bit);
+      const auto d = stripedMd5(flipped.data(), len);
+      EXPECT_TRUE(seen.insert(d).second)
+          << "flip of byte " << at << " bit " << bit;
+    }
 }
 
 TEST(Md5, IncrementalMatchesOneShot) {
