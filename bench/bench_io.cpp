@@ -11,6 +11,7 @@
 #include "io/contention.hpp"
 #include "mesh/generator.hpp"
 #include "mesh/partitioner.hpp"
+#include "telemetry/registry.hpp"
 #include "util/md5.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -22,7 +23,8 @@ using namespace awp;
 namespace {
 
 // Run a solver with surface output at the given aggregation depth and
-// return (wall seconds, output-phase seconds, flush count).
+// return (wall seconds, output-phase seconds, all timed phases' seconds),
+// read from rank 0's telemetry slot.
 struct IoRun {
   double wall = 0.0;
   double outputSeconds = 0.0;
@@ -31,6 +33,8 @@ struct IoRun {
 
 IoRun runWithAggregation(const std::string& file, int flushEvery) {
   IoRun out;
+  telemetry::Session session(telemetry::SessionConfig{/*nranks=*/4});
+  telemetry::ScopedSession installed(session);
   Stopwatch wall;
   vcluster::ThreadCluster::run(4, [&](vcluster::Communicator& comm) {
     vcluster::CartTopology topo(vcluster::Dims3{2, 2, 1});
@@ -50,12 +54,13 @@ IoRun runWithAggregation(const std::string& file, int flushEvery) {
         32, 32, 12,
         core::rickerWavelet(2.0, 0.5, solver.config().dt, 100, 1e15)));
     solver.run(100);
-    if (comm.rank() == 0) {
-      out.outputSeconds = solver.phases().get(Phase::Output);
-      out.totalSeconds = solver.phases().total();
-    }
   });
   out.wall = wall.seconds();
+  const telemetry::RankSummary rank0 = session.slot(0).summary();
+  const auto output = static_cast<std::size_t>(telemetry::Phase::Output);
+  out.outputSeconds = static_cast<double>(rank0.phaseNs[output]) * 1e-9;
+  for (std::uint64_t ns : rank0.phaseNs)
+    out.totalSeconds += static_cast<double>(ns) * 1e-9;
   return out;
 }
 

@@ -87,7 +87,6 @@ ScenarioResult runWaveScenario(const MiniDomain& domain,
       result.traces = std::move(traces);
       result.dt = solver.config().dt;
       result.steps = solver.currentStep();
-      result.phases = solver.phases();
     }
   });
   result.wallSeconds = wall.seconds();

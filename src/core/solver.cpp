@@ -66,8 +66,10 @@ void WaveSolver::init(const mesh::MeshBlock& block) {
                    config_.h);
   }
 
-  grid_ = std::make_unique<grid::StaggeredGrid>(local, config_.h, dt,
-                                                config_.attenuation);
+  grid_ = std::make_unique<grid::StaggeredGrid>(
+      local, config_.h, dt, config_.attenuation,
+      std::array<std::size_t, 3>{block.spec.x.begin, block.spec.y.begin,
+                                 block.spec.z.begin});
   grid_->setMaterial(block);
 
   if (config_.hybridThreads > 1) {
@@ -164,51 +166,25 @@ AWP_HOT void WaveSolver::velocityPhase() {
   if (config_.overlap) {
     // §IV.C: "While the value of v is computed, the exchange of u can be
     // performed simultaneously" — per-component interleaving.
-    {
-      ScopedPhase t(phases_, Phase::Compute);
-      updateVelocity(*grid_, VelocityComponent::U, config_.kernels, r);
+    updateVelocity(*grid_, VelocityComponent::U, config_.kernels, r);
+    halo_->exchangeFields(*grid_, {grid::FieldId::U});
+    updateVelocity(*grid_, VelocityComponent::V, config_.kernels, r);
+    halo_->exchangeFields(*grid_, {grid::FieldId::V});
+    updateVelocity(*grid_, VelocityComponent::W, config_.kernels, r);
+    if (pml_) {
+      telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
+      pml_->updateVelocity(*grid_);
     }
-    {
-      ScopedPhase t(phases_, Phase::Communicate);
-      halo_->exchangeFields(*grid_, {grid::FieldId::U});
-    }
-    {
-      ScopedPhase t(phases_, Phase::Compute);
-      updateVelocity(*grid_, VelocityComponent::V, config_.kernels, r);
-    }
-    {
-      ScopedPhase t(phases_, Phase::Communicate);
-      halo_->exchangeFields(*grid_, {grid::FieldId::V});
-    }
-    {
-      ScopedPhase t(phases_, Phase::Compute);
-      updateVelocity(*grid_, VelocityComponent::W, config_.kernels, r);
-      if (pml_) {
-        telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
-        pml_->updateVelocity(*grid_);
-      }
-    }
-    {
-      ScopedPhase t(phases_, Phase::Communicate);
-      halo_->exchangeFields(*grid_, {grid::FieldId::W});
-      if (pml_) {
-        // PML rewrote u/v/w in the zones after their exchanges; refresh.
-        halo_->exchangeVelocities(*grid_);
-      }
-    }
+    halo_->exchangeFields(*grid_, {grid::FieldId::W});
+    // PML rewrote u/v/w in the zones after their exchanges; refresh.
+    if (pml_) halo_->exchangeVelocities(*grid_);
   } else {
-    {
-      ScopedPhase t(phases_, Phase::Compute);
-      updateVelocity(*grid_, config_.kernels);
-      if (pml_) {
-        telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
-        pml_->updateVelocity(*grid_);
-      }
+    updateVelocity(*grid_, config_.kernels);
+    if (pml_) {
+      telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
+      pml_->updateVelocity(*grid_);
     }
-    {
-      ScopedPhase t(phases_, Phase::Communicate);
-      halo_->exchangeVelocities(*grid_);
-    }
+    halo_->exchangeVelocities(*grid_);
   }
   freeSurface_->applyVelocityImages(*grid_);
 }
@@ -216,25 +192,18 @@ AWP_HOT void WaveSolver::velocityPhase() {
 AWP_HOT void WaveSolver::stressPhase() {
   telemetry::ScopedSpan span(telemetry::Phase::StressKernel);
   const Region r = Region::interior(*grid_);
-  {
-    ScopedPhase t(phases_, Phase::Compute);
-    updateStress(*grid_, StressGroup::Normal, config_.kernels, r);
-    updateStress(*grid_, StressGroup::XY, config_.kernels, r);
-    updateStress(*grid_, StressGroup::XZ, config_.kernels, r);
-    updateStress(*grid_, StressGroup::YZ, config_.kernels, r);
-    if (pml_) {
-      telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
-      pml_->updateStress(*grid_);
-    }
-    sources_.inject(*grid_, step_);
+  updateStress(*grid_, StressGroup::Normal, config_.kernels, r);
+  updateStress(*grid_, StressGroup::XY, config_.kernels, r);
+  updateStress(*grid_, StressGroup::XZ, config_.kernels, r);
+  updateStress(*grid_, StressGroup::YZ, config_.kernels, r);
+  if (pml_) {
+    telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
+    pml_->updateStress(*grid_);
   }
+  sources_.inject(*grid_, step_);
   freeSurface_->applyStressImages(*grid_);
-  {
-    ScopedPhase t(phases_, Phase::Communicate);
-    halo_->exchangeStresses(*grid_);
-  }
+  halo_->exchangeStresses(*grid_);
   if (sponge_) {
-    ScopedPhase t(phases_, Phase::Compute);
     telemetry::ScopedSpan absorb(telemetry::Phase::Absorb);
     sponge_->apply(*grid_);
   }
@@ -253,7 +222,6 @@ AWP_HOT void WaveSolver::observationPhase() {
       step_ % static_cast<std::size_t>(surfaceOutput_->sampleEverySteps) ==
           0 &&
       geom_.touchesTop()) {
-    ScopedPhase t(phases_, Phase::Output);
     telemetry::ScopedSpan span(telemetry::Phase::Output);
     const auto dec =
         static_cast<std::size_t>(surfaceOutput_->spatialDecimation);
@@ -307,10 +275,7 @@ AWP_HOT void WaveSolver::observationPhase() {
 
 void WaveSolver::persistState(bool toDisk, bool toBuddy) {
   auto state = grid_->saveState();
-  if (toDisk) {
-    ScopedPhase t(phases_, Phase::Output);
-    checkpoints_->write(comm_.rank(), step_, state);
-  }
+  if (toDisk) checkpoints_->write(comm_.rank(), step_, state);
   if (!toBuddy) return;
   if (comm_.size() == 1) {  // no partner: the self blob suffices
     buddies_->storeSelf(comm_.rank(), step_, std::move(state));
@@ -392,10 +357,6 @@ AWP_HOT void WaveSolver::step() {
     stressPhase();
   }
   observationPhase();
-  if (config_.barrierPerStep) {
-    ScopedPhase t(phases_, Phase::Synchronize);
-    comm_.barrier();
-  }
   ++step_;
 }
 

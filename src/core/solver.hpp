@@ -4,8 +4,8 @@
 //   velocity update -> velocity exchange -> free-surface velocity images ->
 //   stress update -> source injection -> free-surface stress images ->
 //   stress exchange -> sponge -> observation / output / checkpoint
-// with each phase timed into the Eq. (7) buckets (compute, comm, sync,
-// output).
+// with each phase timed by telemetry spans (telemetry/taxonomy.hpp), whose
+// sums give the Eq. (7) compute, comm and output buckets.
 //
 // Configuration covers every §IV optimization so that benches can toggle
 // them independently: kernel variants, sync/async exchange, reduced
@@ -68,7 +68,6 @@ struct SolverConfig {
       grid::HaloExchanger::Mode::Asynchronous;
   bool reducedComm = true;
   bool overlap = false;  // per-component interleaving (§IV.C)
-  bool barrierPerStep = false;  // the v6.0-era extra global barrier
   // §IV.D hybrid MPI/OpenMP analogue: intra-rank threads sharing this
   // rank's subgrid (1 = pure message passing).
   int hybridThreads = 1;
@@ -137,7 +136,6 @@ class WaveSolver {
   [[nodiscard]] grid::StaggeredGrid& grid() { return *grid_; }
   [[nodiscard]] const DomainGeometry& geometry() const { return geom_; }
   [[nodiscard]] const SolverConfig& config() const { return config_; }
-  [[nodiscard]] PhaseTimer& phases() { return phases_; }
   [[nodiscard]] grid::HaloExchanger& exchanger() { return *halo_; }
   [[nodiscard]] SurfaceMonitor& surface() { return *surface_; }
   [[nodiscard]] ReceiverSet& receivers() { return receivers_; }
@@ -213,7 +211,6 @@ class WaveSolver {
   bool dtDerived_ = false;
   double dtBaseline_ = 0.0;  // dt before any health-guard tightening
 
-  PhaseTimer phases_;
   std::size_t step_ = 0;
 
   // Rollback-replay window: opened on a successful rollback, closed when

@@ -9,7 +9,8 @@
 namespace awp::grid {
 
 StaggeredGrid::StaggeredGrid(GridDims dims, double h, double dt,
-                             AttenuationConfig attenuation)
+                             AttenuationConfig attenuation,
+                             std::array<std::size_t, 3> origin)
     : dims_(dims), h_(h), dt_(dt), attenuation_(attenuation) {
   AWP_CHECK(dims.nx >= 1 && dims.ny >= 1 && dims.nz >= 1);
   AWP_CHECK(h > 0.0 && dt > 0.0);
@@ -21,15 +22,18 @@ StaggeredGrid::StaggeredGrid(GridDims dims, double h, double dt,
     for (Array3f* f :
          {&rxx, &ryy, &rzz, &rxy, &rxz, &ryz, &tauSigma, &qsInv, &qpInv})
       f->resize(ax, ay, az);
-    // Coarse-grained relaxation times: position (i%2, j%2, k%2) selects one
-    // of 8 log-spaced values across the target frequency band.
+    // Coarse-grained relaxation times: the global position's parity
+    // (gi%2, gj%2, gk%2) selects one of 8 log-spaced values across the
+    // target frequency band. A raw index and its global index differ by
+    // the origin (the halo offset is common to every rank).
     const double tauMin = 1.0 / (2.0 * M_PI * attenuation_.fMax);
     const double tauMax = 1.0 / (2.0 * M_PI * attenuation_.fMin);
     for (std::size_t k = 0; k < az; ++k)
       for (std::size_t j = 0; j < ay; ++j)
         for (std::size_t i = 0; i < ax; ++i) {
-          const int m = static_cast<int>(i % 2) + 2 * static_cast<int>(j % 2) +
-                        4 * static_cast<int>(k % 2);
+          const int m = static_cast<int>((i + origin[0]) % 2) +
+                        2 * static_cast<int>((j + origin[1]) % 2) +
+                        4 * static_cast<int>((k + origin[2]) % 2);
           tauSigma(i, j, k) = static_cast<float>(
               tauMin * std::pow(tauMax / tauMin, m / 7.0));
         }

@@ -14,6 +14,7 @@
 // interior spans raw indices [kHalo, kHalo + n) per axis. k increases
 // upward: the free surface is the TOP interior plane k = kHalo + nz - 1.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -45,8 +46,12 @@ struct AttenuationConfig {
 
 class StaggeredGrid {
  public:
+  // `origin` is the global index of this grid's first interior cell. The
+  // coarse-grained relaxation time of a cell is chosen by the parity of its
+  // global index, so every decomposition of a domain sees one pattern.
   StaggeredGrid(GridDims dims, double h, double dt,
-                AttenuationConfig attenuation = {});
+                AttenuationConfig attenuation = {},
+                std::array<std::size_t, 3> origin = {});
 
   [[nodiscard]] const GridDims& dims() const { return dims_; }
   [[nodiscard]] double h() const { return h_; }

@@ -1,177 +1,156 @@
 #include "sched/report.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "telemetry/json.hpp"
 #include "util/error.hpp"
 
 namespace awp::sched {
 
-namespace {
-
-std::string fmtDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void writeTextAtomically(const std::string& path, const std::string& text) {
-  namespace fs = std::filesystem;
-  const fs::path target(path);
-  if (target.has_parent_path()) fs::create_directories(target.parent_path());
-  const fs::path tmp = target.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("sched: cannot open " + tmp.string());
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.flush();
-    if (!out) throw Error("sched: short write to " + tmp.string());
-  }
-  fs::rename(tmp, target);
-}
-
-}  // namespace
-
 std::string toJson(const ServiceReport& report) {
-  using telemetry::escapeJson;
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"awp-sched-service-report\",\n";
-  os << "  \"version\": 1,\n";
-  os << "  \"wall_seconds\": " << fmtDouble(report.wallSeconds) << ",\n";
-  os << "  \"core_budget\": " << report.coreBudget << ",\n";
-  os << "  \"submitted\": " << report.submitted << ",\n";
-  os << "  \"completed\": " << report.completed << ",\n";
-  os << "  \"failed\": " << report.failed << ",\n";
-  os << "  \"rejected\": " << report.rejected << ",\n";
-  os << "  \"cache_hits\": " << report.cacheHits << ",\n";
-  os << "  \"coalesced\": " << report.coalesced << ",\n";
-  os << "  \"retries\": " << report.retries << ",\n";
-  os << "  \"respawns\": " << report.respawns << ",\n";
-  os << "  \"respawn_escalations\": " << report.respawnEscalations << ",\n";
-  os << "  \"executed_attempts\": " << report.executedAttempts << ",\n";
-  os << "  \"throughput_per_second\": "
-     << fmtDouble(report.throughputPerSecond) << ",\n";
-  os << "  \"queue_latency_seconds\": {"
-     << "\"min\": " << fmtDouble(report.queueLatencyMin) << ", "
-     << "\"mean\": " << fmtDouble(report.queueLatencyMean) << ", "
-     << "\"max\": " << fmtDouble(report.queueLatencyMax) << "},\n";
-  os << "  \"artifact_cache\": {"
-     << "\"hits\": " << report.cache.hits << ", "
-     << "\"misses\": " << report.cache.misses << ", "
-     << "\"computes\": " << report.cache.computes << ", "
-     << "\"disk_loads\": " << report.cache.diskLoads << ",\n"
-     << "    \"memory_hits\": " << report.cache.memoryHits << ", "
-     << "\"memory_misses\": " << report.cache.memoryMisses << ", "
-     << "\"disk_hits\": " << report.cache.diskHits << ", "
-     << "\"disk_misses\": " << report.cache.diskMisses << ",\n"
-     << "    \"puts\": " << report.cache.puts << ", "
-     << "\"dedup_hits\": " << report.cache.dedupHits << ", "
-     << "\"logical_bytes\": " << report.cache.logicalBytes << ", "
-     << "\"stored_bytes\": " << report.cache.storedBytes << ", "
-     << "\"entries\": " << report.cache.entries << "},\n";
-  os << "  \"retry_sites\": {";
-  {
-    bool first = true;
-    for (const auto& [site, s] : report.retrySites) {
-      os << (first ? "\n" : ",\n") << "    \"" << escapeJson(site)
-         << "\": {\"calls\": " << s.calls << ", \"attempts\": " << s.attempts
-         << ", \"failures\": " << s.failures
-         << ", \"exhausted\": " << s.exhausted << "}";
-      first = false;
-    }
-    if (!first) os << "\n  ";
+  telemetry::JsonWriter w;
+  w.beginObject()
+      .field("schema", "awp-sched-service-report")
+      .field("version", 1)
+      .field("wall_seconds", report.wallSeconds)
+      .field("core_budget", report.coreBudget)
+      .field("submitted", report.submitted)
+      .field("completed", report.completed)
+      .field("failed", report.failed)
+      .field("rejected", report.rejected)
+      .field("cache_hits", report.cacheHits)
+      .field("coalesced", report.coalesced)
+      .field("retries", report.retries)
+      .field("respawns", report.respawns)
+      .field("respawn_escalations", report.respawnEscalations)
+      .field("executed_attempts", report.executedAttempts)
+      .field("throughput_per_second", report.throughputPerSecond);
+  w.key("queue_latency_seconds")
+      .beginObject()
+      .field("min", report.queueLatencyMin)
+      .field("mean", report.queueLatencyMean)
+      .field("max", report.queueLatencyMax)
+      .endObject();
+  const CacheStats& c = report.cache;
+  w.key("artifact_cache")
+      .beginObject()
+      .field("hits", c.hits)
+      .field("misses", c.misses)
+      .field("computes", c.computes)
+      .field("disk_loads", c.diskLoads)
+      .field("memory_hits", c.memoryHits)
+      .field("memory_misses", c.memoryMisses)
+      .field("disk_hits", c.diskHits)
+      .field("disk_misses", c.diskMisses)
+      .field("puts", c.puts)
+      .field("dedup_hits", c.dedupHits)
+      .field("logical_bytes", c.logicalBytes)
+      .field("stored_bytes", c.storedBytes)
+      .field("entries", c.entries)
+      .endObject();
+  w.key("retry_sites").beginObject();
+  for (const auto& [site, s] : report.retrySites) {
+    w.key(site)
+        .beginObject()
+        .field("calls", s.calls)
+        .field("attempts", s.attempts)
+        .field("failures", s.failures)
+        .field("exhausted", s.exhausted)
+        .endObject();
   }
-  os << "},\n";
-  os << "  \"jobs\": [\n";
-  for (std::size_t i = 0; i < report.jobs.size(); ++i) {
-    const JobRow& j = report.jobs[i];
-    os << "    {"
-       << "\"name\": \"" << escapeJson(j.name) << "\", "
-       << "\"kind\": \"" << escapeJson(j.kind) << "\", "
-       << "\"hash\": \"" << escapeJson(j.hash) << "\", "
-       << "\"priority\": " << j.priority << ", "
-       << "\"phase\": \"" << escapeJson(j.phase) << "\", "
-       << "\"attempts\": " << j.attempts << ", "
-       << "\"retries\": " << j.retries << ", "
-       << "\"respawns\": " << j.respawns << ", "
-       << "\"cache_hit\": " << (j.cacheHit ? "true" : "false") << ", "
-       << "\"coalesced\": " << (j.coalesced ? "true" : "false") << ", "
-       << "\"completed_steps\": " << j.completedSteps << ", "
-       << "\"queue_seconds\": " << fmtDouble(j.queueSeconds) << ", "
-       << "\"run_seconds\": " << fmtDouble(j.runSeconds) << ", "
-       << "\"error\": \"" << escapeJson(j.error) << "\"}"
-       << (i + 1 < report.jobs.size() ? "," : "") << "\n";
+  w.endObject();
+  w.key("jobs").beginArray();
+  for (const JobRow& j : report.jobs) {
+    w.beginObject()
+        .field("name", j.name)
+        .field("kind", j.kind)
+        .field("hash", j.hash)
+        .field("priority", j.priority)
+        .field("phase", j.phase)
+        .field("attempts", j.attempts)
+        .field("retries", j.retries)
+        .field("respawns", j.respawns)
+        .field("cache_hit", j.cacheHit)
+        .field("coalesced", j.coalesced)
+        .field("completed_steps", j.completedSteps)
+        .field("queue_seconds", j.queueSeconds)
+        .field("run_seconds", j.runSeconds)
+        .field("error", j.error)
+        .endObject();
   }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
+  w.endArray().endObject();
+  return w.str();
 }
 
 void writeServiceReportFile(const std::string& path,
                             const ServiceReport& report) {
   AWP_CHECK_MSG(report.valid(), "sched: writeServiceReportFile without data");
-  writeTextAtomically(path, toJson(report));
+  telemetry::writeTextAtomically(path, toJson(report));
 }
 
 namespace {
 
+using telemetry::JsonField;
 using telemetry::JsonValue;
+using telemetry::numberOf;
+using telemetry::textOf;
+using Type = JsonField::Type;
 
-bool numberMember(const JsonValue& obj, const std::string& context,
-                  const std::string& key, std::vector<std::string>& out,
-                  double* value) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->isNumber()) {
-    out.push_back(context + ": missing numeric field '" + key + "'");
-    return false;
-  }
-  if (!std::isfinite(v->number)) {
-    out.push_back(context + ": field '" + key + "' is not finite");
-    return false;
-  }
-  *value = v->number;
-  return true;
-}
+constexpr JsonField kRootFields[] = {
+    {"wall_seconds", Type::Number, 0},
+    {"core_budget", Type::Number, 1},
+    {"submitted", Type::Number, 0},
+    {"completed", Type::Number, 0},
+    {"failed", Type::Number, 0},
+    {"rejected", Type::Number, 0},
+    {"cache_hits", Type::Number, 0},
+    {"coalesced", Type::Number, 0},
+    {"retries", Type::Number, 0},
+    {"respawns", Type::Number, 0},
+    {"respawn_escalations", Type::Number, 0},
+    {"executed_attempts", Type::Number, 0},
+    {"throughput_per_second", Type::Number, 0}};
 
-bool nonNegativeMember(const JsonValue& obj, const std::string& context,
-                       const std::string& key, std::vector<std::string>& out,
-                       double* value) {
-  if (!numberMember(obj, context, key, out, value)) return false;
-  if (*value < 0.0) {
-    out.push_back(context + ": field '" + key + "' is negative");
-    return false;
-  }
-  return true;
-}
+constexpr JsonField kLatencyFields[] = {{"min", Type::Number, 0},
+                                        {"mean", Type::Number, 0},
+                                        {"max", Type::Number, 0}};
 
-bool stringMember(const JsonValue& obj, const std::string& context,
-                  const std::string& key, std::vector<std::string>& out,
-                  std::string* value) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->isString()) {
-    out.push_back(context + ": missing string field '" + key + "'");
-    return false;
-  }
-  *value = v->text;
-  return true;
-}
+constexpr JsonField kCacheFields[] = {{"hits", Type::Number, 0},
+                                      {"misses", Type::Number, 0},
+                                      {"computes", Type::Number, 0},
+                                      {"disk_loads", Type::Number, 0}};
 
-bool boolMember(const JsonValue& obj, const std::string& context,
-                const std::string& key, std::vector<std::string>& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::Bool) {
-    out.push_back(context + ": missing boolean field '" + key + "'");
-    return false;
-  }
-  return true;
-}
+// Tier/dedup accounting joined the schema later; checked only when "puts"
+// is present so pre-existing handcrafted reports stay valid.
+constexpr JsonField kCacheTierFields[] = {{"memory_hits", Type::Number, 0},
+                                          {"memory_misses", Type::Number, 0},
+                                          {"disk_hits", Type::Number, 0},
+                                          {"disk_misses", Type::Number, 0},
+                                          {"puts", Type::Number, 0},
+                                          {"dedup_hits", Type::Number, 0},
+                                          {"logical_bytes", Type::Number, 0},
+                                          {"stored_bytes", Type::Number, 0},
+                                          {"entries", Type::Number, 0}};
 
-bool knownPhaseName(const std::string& name) {
+constexpr JsonField kRetrySiteFields[] = {{"calls", Type::Number, 0},
+                                          {"attempts", Type::Number, 0},
+                                          {"failures", Type::Number, 0},
+                                          {"exhausted", Type::Number, 0}};
+
+constexpr JsonField kJobFields[] = {
+    {"name", Type::String},
+    {"kind", Type::String},
+    {"hash", Type::Hex32},
+    {"phase", Type::String},
+    {"priority", Type::Number},
+    {"attempts", Type::Number, 0},
+    {"retries", Type::Number, 0},
+    {"respawns", Type::Number, 0},
+    {"cache_hit", Type::Bool},
+    {"coalesced", Type::Bool},
+    {"completed_steps", Type::Number, 0},
+    {"queue_seconds", Type::Number, 0},
+    {"run_seconds", Type::Number, 0}};
+
+bool knownPhaseName(std::string_view name) {
   return name == "queued" || name == "running" || name == "completed" ||
          name == "failed" || name == "rejected";
 }
@@ -181,48 +160,15 @@ bool knownPhaseName(const std::string& name) {
 std::vector<std::string> validateServiceReportJson(const std::string& text) {
   std::vector<std::string> out;
   JsonValue root;
-  try {
-    root = telemetry::parseJson(text);
-  } catch (const Error& e) {
-    out.push_back(std::string("parse error: ") + e.what());
+  if (!telemetry::parseDocument(text, "awp-sched-service-report", 1, root,
+                                out))
     return out;
-  }
-  if (!root.isObject()) {
-    out.push_back("document is not an object");
-    return out;
-  }
-
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->isString() ||
-      schema->text != "awp-sched-service-report")
-    out.push_back("missing or wrong 'schema' identifier");
-  const JsonValue* version = root.find("version");
-  if (version == nullptr || !version->isNumber() || version->number != 1.0)
-    out.push_back("missing or unsupported 'version'");
-
-  double scratch = 0.0;
-  nonNegativeMember(root, "report", "wall_seconds", out, &scratch);
-  double coreBudget = 0.0;
-  if (numberMember(root, "report", "core_budget", out, &coreBudget) &&
-      coreBudget < 1.0)
-    out.push_back("report: 'core_budget' must be >= 1");
-
-  double submitted = 0, completed = 0, failed = 0, rejected = 0;
-  double cacheHits = 0, coalescedN = 0;
-  nonNegativeMember(root, "report", "submitted", out, &submitted);
-  nonNegativeMember(root, "report", "completed", out, &completed);
-  nonNegativeMember(root, "report", "failed", out, &failed);
-  nonNegativeMember(root, "report", "rejected", out, &rejected);
-  nonNegativeMember(root, "report", "cache_hits", out, &cacheHits);
-  nonNegativeMember(root, "report", "coalesced", out, &coalescedN);
-  nonNegativeMember(root, "report", "retries", out, &scratch);
-  nonNegativeMember(root, "report", "respawns", out, &scratch);
-  nonNegativeMember(root, "report", "respawn_escalations", out, &scratch);
-  nonNegativeMember(root, "report", "executed_attempts", out, &scratch);
-  nonNegativeMember(root, "report", "throughput_per_second", out, &scratch);
+  checkFields(root, "report", kRootFields, out);
   // Every submission has exactly one terminal outcome.
-  if (completed + failed + rejected + cacheHits + coalescedN >
-      submitted + 0.5)
+  if (numberOf(root, "completed") + numberOf(root, "failed") +
+          numberOf(root, "rejected") + numberOf(root, "cache_hits") +
+          numberOf(root, "coalesced") >
+      numberOf(root, "submitted") + 0.5)
     out.push_back("report: outcomes exceed submissions");
 
   constexpr double kEps = 1e-9;
@@ -230,16 +176,13 @@ std::vector<std::string> validateServiceReportJson(const std::string& text) {
   if (lat == nullptr || !lat->isObject()) {
     out.push_back("missing 'queue_latency_seconds' object");
   } else {
-    double minV = 0, mean = 0, maxV = 0;
-    const bool haveMin =
-        nonNegativeMember(*lat, "queue_latency", "min", out, &minV);
-    const bool haveMean =
-        nonNegativeMember(*lat, "queue_latency", "mean", out, &mean);
-    const bool haveMax =
-        nonNegativeMember(*lat, "queue_latency", "max", out, &maxV);
-    if (haveMin && haveMean && minV > mean * (1.0 + kEps) + kEps)
+    checkFields(*lat, "queue_latency", kLatencyFields, out);
+    const double minV = numberOf(*lat, "min");
+    const double mean = numberOf(*lat, "mean");
+    const double maxV = numberOf(*lat, "max");
+    if (minV > mean * (1.0 + kEps) + kEps)
       out.push_back("queue_latency: min exceeds mean");
-    if (haveMean && haveMax && mean > maxV * (1.0 + kEps) + kEps)
+    if (mean > maxV * (1.0 + kEps) + kEps)
       out.push_back("queue_latency: mean exceeds max");
   }
 
@@ -247,37 +190,17 @@ std::vector<std::string> validateServiceReportJson(const std::string& text) {
   if (cache == nullptr || !cache->isObject()) {
     out.push_back("missing 'artifact_cache' object");
   } else {
-    double hits = 0, computes = 0;
-    nonNegativeMember(*cache, "artifact_cache", "hits", out, &hits);
-    nonNegativeMember(*cache, "artifact_cache", "misses", out, &scratch);
-    nonNegativeMember(*cache, "artifact_cache", "computes", out, &computes);
-    nonNegativeMember(*cache, "artifact_cache", "disk_loads", out, &scratch);
-    // Tier/dedup accounting joined the schema later; tolerated as absent
-    // so pre-existing handcrafted reports stay valid. When present the
-    // tiers must reconcile with the totals and dedup can only shrink.
+    checkFields(*cache, "artifact_cache", kCacheFields, out);
+    // When present the tiers must reconcile with the totals and dedup can
+    // only shrink.
     if (cache->find("puts") != nullptr) {
-      double memHits = 0, diskHits = 0, puts = 0, dedup = 0;
-      double logical = 0, stored = 0;
-      const bool haveMem = nonNegativeMember(*cache, "artifact_cache",
-                                             "memory_hits", out, &memHits);
-      nonNegativeMember(*cache, "artifact_cache", "memory_misses", out,
-                        &scratch);
-      const bool haveDisk = nonNegativeMember(*cache, "artifact_cache",
-                                              "disk_hits", out, &diskHits);
-      nonNegativeMember(*cache, "artifact_cache", "disk_misses", out,
-                        &scratch);
-      nonNegativeMember(*cache, "artifact_cache", "puts", out, &puts);
-      nonNegativeMember(*cache, "artifact_cache", "dedup_hits", out, &dedup);
-      const bool haveLogical = nonNegativeMember(
-          *cache, "artifact_cache", "logical_bytes", out, &logical);
-      const bool haveStored = nonNegativeMember(
-          *cache, "artifact_cache", "stored_bytes", out, &stored);
-      nonNegativeMember(*cache, "artifact_cache", "entries", out, &scratch);
-      if (haveMem && haveDisk && memHits + diskHits > hits + 0.5)
+      checkFields(*cache, "artifact_cache", kCacheTierFields, out);
+      const auto n = [&](const char* key) { return numberOf(*cache, key); };
+      if (n("memory_hits") + n("disk_hits") > n("hits") + 0.5)
         out.push_back("artifact_cache: tier hits exceed total hits");
-      if (dedup > puts + 0.5)
+      if (n("dedup_hits") > n("puts") + 0.5)
         out.push_back("artifact_cache: dedup_hits exceed puts");
-      if (haveLogical && haveStored && stored > logical + 0.5)
+      if (n("stored_bytes") > n("logical_bytes") + 0.5)
         out.push_back("artifact_cache: stored_bytes exceed logical_bytes");
     }
   }
@@ -296,16 +219,13 @@ std::vector<std::string> validateServiceReportJson(const std::string& text) {
           out.push_back(context + ": not an object");
           continue;
         }
-        double calls = 0, attempts = 0, failures = 0, exhausted = 0;
-        nonNegativeMember(stats, context, "calls", out, &calls);
-        nonNegativeMember(stats, context, "attempts", out, &attempts);
-        nonNegativeMember(stats, context, "failures", out, &failures);
-        nonNegativeMember(stats, context, "exhausted", out, &exhausted);
-        if (attempts < calls)
+        checkFields(stats, context, kRetrySiteFields, out);
+        const auto n = [&](const char* key) { return numberOf(stats, key); };
+        if (n("attempts") < n("calls"))
           out.push_back(context + ": attempts below calls");
-        if (failures > attempts)
+        if (n("failures") > n("attempts"))
           out.push_back(context + ": failures exceed attempts");
-        if (exhausted > calls)
+        if (n("exhausted") > n("calls"))
           out.push_back(context + ": exhausted exceeds calls");
       }
     }
@@ -323,31 +243,20 @@ std::vector<std::string> validateServiceReportJson(const std::string& text) {
       out.push_back(context + ": not an object");
       continue;
     }
-    std::string s;
-    stringMember(j, context, "name", out, &s);
-    if (stringMember(j, context, "kind", out, &s) && s != "wave" &&
-        s != "rupture")
-      out.push_back(context + ": unknown kind '" + s + "'");
-    if (stringMember(j, context, "hash", out, &s) && s.size() != 32)
-      out.push_back(context + ": hash is not a 32-hex digest");
-    if (stringMember(j, context, "phase", out, &s) && !knownPhaseName(s))
-      out.push_back(context + ": unknown phase '" + s + "'");
-    numberMember(j, context, "priority", out, &scratch);
-    double attempts = 0, retries = 0, respawns = 0;
-    nonNegativeMember(j, context, "attempts", out, &attempts);
-    nonNegativeMember(j, context, "retries", out, &retries);
-    if (retries > attempts)
+    checkFields(j, context, kJobFields, out);
+    const std::string_view kind = textOf(j, "kind");
+    if (kind != "wave" && kind != "rupture")
+      out.push_back(context + ": unknown kind '" + std::string(kind) + "'");
+    const std::string_view phase = textOf(j, "phase");
+    if (!knownPhaseName(phase))
+      out.push_back(context + ": unknown phase '" + std::string(phase) + "'");
+    const double attempts = numberOf(j, "attempts");
+    if (numberOf(j, "retries") > attempts)
       out.push_back(context + ": retries exceed attempts");
-    nonNegativeMember(j, context, "respawns", out, &respawns);
     // An in-place respawn happens inside a running attempt, so a job that
     // never started an attempt cannot have absorbed one.
-    if (respawns > 0.5 && attempts < 0.5)
+    if (numberOf(j, "respawns") > 0.5 && attempts < 0.5)
       out.push_back(context + ": respawns without attempts");
-    boolMember(j, context, "cache_hit", out);
-    boolMember(j, context, "coalesced", out);
-    nonNegativeMember(j, context, "completed_steps", out, &scratch);
-    nonNegativeMember(j, context, "queue_seconds", out, &scratch);
-    nonNegativeMember(j, context, "run_seconds", out, &scratch);
   }
   return out;
 }

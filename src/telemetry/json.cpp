@@ -1,7 +1,11 @@
 #include "telemetry/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 
 #include "util/error.hpp"
 
@@ -243,6 +247,161 @@ std::string escapeJson(const std::string& s) {
     }
   }
   return out;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  beginElement();
+  out_ += '"';
+  out_ += escapeJson(std::string(k));
+  out_ += "\": ";
+  afterKey_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return token(buf);
+}
+
+JsonWriter& JsonWriter::value(std::string_view v) {
+  return token('"' + escapeJson(std::string(v)) + '"');
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  beginElement();
+  out_ += bracket;
+  counts_.push_back(0);
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  const bool multiline = counts_.size() <= 2;
+  const bool empty = counts_.back() == 0;
+  counts_.pop_back();
+  if (multiline && !empty) {
+    out_ += '\n';
+    out_.append(2 * counts_.size(), ' ');
+  }
+  out_ += bracket;
+  return *this;
+}
+
+JsonWriter& JsonWriter::token(std::string_view text) {
+  beginElement();
+  out_ += text;
+  return *this;
+}
+
+void JsonWriter::beginElement() {
+  if (afterKey_) {  // the value of a key just written
+    afterKey_ = false;
+    return;
+  }
+  if (counts_.empty()) return;  // the root
+  if (counts_.back()++ > 0) out_ += ',';
+  if (counts_.size() <= 2) {
+    out_ += '\n';
+    out_.append(2 * counts_.size(), ' ');
+  } else if (counts_.back() > 1) {
+    out_ += ' ';
+  }
+}
+
+void writeTextAtomically(const std::string& path, const std::string& text) {
+  namespace fs = std::filesystem;
+  const fs::path target(path);
+  if (target.has_parent_path()) fs::create_directories(target.parent_path());
+  const fs::path tmp = target.string() + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw Error("cannot open " + tmp.string());
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    out.flush();
+    if (!out) throw Error("short write to " + tmp.string());
+  }
+  fs::rename(tmp, target);
+}
+
+bool parseDocument(const std::string& text, std::string_view schema,
+                   int version, JsonValue& root,
+                   std::vector<std::string>& out) {
+  try {
+    root = parseJson(text);
+  } catch (const Error& e) {
+    out.push_back(std::string("parse error: ") + e.what());
+    return false;
+  }
+  if (!root.isObject()) {
+    out.push_back("document is not an object");
+    return false;
+  }
+  if (textOf(root, "schema") != schema)
+    out.push_back("missing or wrong 'schema' identifier");
+  if (numberOf(root, "version") != version)
+    out.push_back("missing or unsupported 'version'");
+  return true;
+}
+
+namespace {
+
+bool isHex32(std::string_view s) {
+  if (s.size() != 32) return false;
+  for (char c : s)
+    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
+  return true;
+}
+
+}  // namespace
+
+void checkFields(const JsonValue& obj, const std::string& context,
+                 std::span<const JsonField> fields,
+                 std::vector<std::string>& out) {
+  using Type = JsonField::Type;
+  for (const JsonField& f : fields) {
+    const std::string key(f.key);
+    const JsonValue* v = obj.find(key);
+    const auto fault = [&](const std::string& what) {
+      out.push_back(context + ": field '" + key + "' " + what);
+    };
+    switch (f.type) {
+      case Type::Number:
+        if (v == nullptr || !v->isNumber()) {
+          fault("is missing or not a number");
+        } else if (!std::isfinite(v->number)) {
+          fault("is not finite");
+        } else if (v->number < f.minimum) {
+          char buf[40];
+          std::snprintf(buf, sizeof(buf), "%g", f.minimum);
+          fault(std::string("is below ") + buf);
+        }
+        break;
+      case Type::String:
+        if (v == nullptr || !v->isString()) fault("is missing or not a string");
+        break;
+      case Type::Bool:
+        if (v == nullptr || v->kind != JsonValue::Kind::Bool)
+          fault("is missing or not a boolean");
+        break;
+      case Type::Hex32:
+        if (v == nullptr || !v->isString() || !isHex32(v->text))
+          fault("is not a 32-hex digest");
+        break;
+    }
+  }
+}
+
+double numberOf(const JsonValue& obj, const std::string& key) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->isNumber() && std::isfinite(v->number)
+             ? v->number
+             : std::numeric_limits<double>::quiet_NaN();
+}
+
+std::string_view textOf(const JsonValue& obj, const std::string& key) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->isString() ? std::string_view(v->text)
+                                       : std::string_view();
 }
 
 }  // namespace awp::telemetry

@@ -1,10 +1,6 @@
 #include "telemetry/report.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "telemetry/json.hpp"
@@ -15,27 +11,6 @@ namespace awp::telemetry {
 namespace {
 
 constexpr double kNsPerSecond = 1e9;
-
-std::string fmtDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void writeTextAtomically(const std::string& path, const std::string& text) {
-  namespace fs = std::filesystem;
-  const fs::path target(path);
-  if (target.has_parent_path()) fs::create_directories(target.parent_path());
-  const fs::path tmp = target.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("telemetry: cannot open " + tmp.string());
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.flush();
-    if (!out) throw Error("telemetry: short write to " + tmp.string());
-  }
-  fs::rename(tmp, target);
-}
 
 }  // namespace
 
@@ -122,45 +97,44 @@ ClusterReport aggregate(vcluster::Communicator& comm, const Session& session,
 }
 
 std::string toJson(const ClusterReport& report) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"awp-telemetry-report\",\n";
-  os << "  \"version\": 1,\n";
-  os << "  \"nranks\": " << report.nranks << ",\n";
-  os << "  \"step\": " << report.step << ",\n";
-  os << "  \"wall_seconds\": " << fmtDouble(report.wallSeconds) << ",\n";
-  os << "  \"useful_seconds\": " << fmtDouble(report.usefulSeconds) << ",\n";
-  os << "  \"replay_seconds\": " << fmtDouble(report.replaySeconds) << ",\n";
-  os << "  \"coverage\": " << fmtDouble(report.coverage) << ",\n";
-  os << "  \"spans_recorded\": " << report.spansRecorded << ",\n";
-  os << "  \"spans_dropped\": " << report.spansDropped << ",\n";
-  os << "  \"phases\": {\n";
-  for (std::size_t p = 0; p < report.phases.size(); ++p) {
-    const PhaseStat& s = report.phases[p];
-    os << "    \"" << toString(s.phase) << "\": {"
-       << "\"sum_seconds\": " << fmtDouble(s.sumSeconds) << ", "
-       << "\"min_seconds\": " << fmtDouble(s.minSeconds) << ", "
-       << "\"max_seconds\": " << fmtDouble(s.maxSeconds) << ", "
-       << "\"mean_seconds\": " << fmtDouble(s.meanSeconds) << ", "
-       << "\"imbalance\": " << fmtDouble(s.imbalance) << ", "
-       << "\"max_rank\": " << s.maxRank << ", "
-       << "\"replay_seconds\": " << fmtDouble(s.replaySeconds) << "}"
-       << (p + 1 < report.phases.size() ? "," : "") << "\n";
+  JsonWriter w;
+  w.beginObject()
+      .field("schema", "awp-telemetry-report")
+      .field("version", 1)
+      .field("nranks", report.nranks)
+      .field("step", report.step)
+      .field("wall_seconds", report.wallSeconds)
+      .field("useful_seconds", report.usefulSeconds)
+      .field("replay_seconds", report.replaySeconds)
+      .field("coverage", report.coverage)
+      .field("spans_recorded", report.spansRecorded)
+      .field("spans_dropped", report.spansDropped);
+  w.key("phases").beginObject();
+  for (const PhaseStat& s : report.phases) {
+    w.key(toString(s.phase))
+        .beginObject()
+        .field("sum_seconds", s.sumSeconds)
+        .field("min_seconds", s.minSeconds)
+        .field("max_seconds", s.maxSeconds)
+        .field("mean_seconds", s.meanSeconds)
+        .field("imbalance", s.imbalance)
+        .field("max_rank", s.maxRank)
+        .field("replay_seconds", s.replaySeconds)
+        .endObject();
   }
-  os << "  },\n";
-  os << "  \"counters\": {\n";
-  for (std::size_t c = 0; c < report.counters.size(); ++c) {
-    const CounterStat& s = report.counters[c];
-    os << "    \"" << toString(s.counter) << "\": {"
-       << "\"total\": " << s.total << ", "
-       << "\"min\": " << s.min << ", "
-       << "\"max\": " << s.max << ", "
-       << "\"max_rank\": " << s.maxRank << "}"
-       << (c + 1 < report.counters.size() ? "," : "") << "\n";
+  w.endObject();
+  w.key("counters").beginObject();
+  for (const CounterStat& s : report.counters) {
+    w.key(toString(s.counter))
+        .beginObject()
+        .field("total", s.total)
+        .field("min", s.min)
+        .field("max", s.max)
+        .field("max_rank", s.maxRank)
+        .endObject();
   }
-  os << "  }\n";
-  os << "}\n";
-  return os.str();
+  w.endObject().endObject();
+  return w.str();
 }
 
 void writeReportFile(const std::string& path, const ClusterReport& report) {
@@ -184,111 +158,68 @@ void writeTraceFile(const std::string& path, const RankTelemetry& rankTel) {
 
 namespace {
 
-// Fetch a finite number member, recording a violation when absent/invalid.
-bool numberMember(const JsonValue& obj, const std::string& context,
-                  const std::string& key, std::vector<std::string>& out,
-                  double* value) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->isNumber()) {
-    out.push_back(context + ": missing numeric field '" + key + "'");
-    return false;
-  }
-  if (!std::isfinite(v->number)) {
-    out.push_back(context + ": field '" + key + "' is not finite");
-    return false;
-  }
-  *value = v->number;
-  return true;
-}
+using Type = JsonField::Type;
 
-bool nonNegativeMember(const JsonValue& obj, const std::string& context,
-                       const std::string& key, std::vector<std::string>& out,
-                       double* value) {
-  if (!numberMember(obj, context, key, out, value)) return false;
-  if (*value < 0.0) {
-    out.push_back(context + ": field '" + key + "' is negative");
-    return false;
-  }
-  return true;
-}
+constexpr JsonField kRootFields[] = {{"nranks", Type::Number, 1},
+                                     {"wall_seconds", Type::Number, 0},
+                                     {"useful_seconds", Type::Number, 0},
+                                     {"replay_seconds", Type::Number, 0},
+                                     {"coverage", Type::Number, 0},
+                                     {"step", Type::Number, 0},
+                                     {"spans_recorded", Type::Number, 0},
+                                     {"spans_dropped", Type::Number, 0}};
+
+// Relative slack for min<=mean<=max comparisons across text round-trips.
+constexpr double kEps = 1e-9;
+
+constexpr JsonField kPhaseFields[] = {{"sum_seconds", Type::Number, 0},
+                                      {"min_seconds", Type::Number, 0},
+                                      {"max_seconds", Type::Number, 0},
+                                      {"mean_seconds", Type::Number, 0},
+                                      {"replay_seconds", Type::Number, 0},
+                                      {"imbalance", Type::Number, 1 - kEps},
+                                      {"max_rank", Type::Number, 0}};
+
+constexpr JsonField kCounterFields[] = {{"total", Type::Number, 0},
+                                        {"min", Type::Number, 0},
+                                        {"max", Type::Number, 0},
+                                        {"max_rank", Type::Number, 0}};
+
+// a > b beyond the kEps slack; false when either is NaN.
+bool exceeds(double a, double b) { return a > b * (1.0 + kEps) + kEps; }
 
 }  // namespace
 
 std::vector<std::string> validateReportJson(const std::string& text) {
   std::vector<std::string> out;
   JsonValue root;
-  try {
-    root = parseJson(text);
-  } catch (const Error& e) {
-    out.push_back(std::string("parse error: ") + e.what());
-    return out;
-  }
-  if (!root.isObject()) {
-    out.push_back("document is not an object");
-    return out;
-  }
-
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || !schema->isString() ||
-      schema->text != "awp-telemetry-report")
-    out.push_back("missing or wrong 'schema' identifier");
-  const JsonValue* version = root.find("version");
-  if (version == nullptr || !version->isNumber() || version->number != 1.0)
-    out.push_back("missing or unsupported 'version'");
-
-  double nranksD = 0.0;
-  int nranks = 0;
-  if (numberMember(root, "report", "nranks", out, &nranksD)) {
-    nranks = static_cast<int>(nranksD);
-    if (nranks < 1) out.push_back("report: 'nranks' must be >= 1");
-  }
-
-  double scratch = 0.0;
-  nonNegativeMember(root, "report", "wall_seconds", out, &scratch);
-  nonNegativeMember(root, "report", "useful_seconds", out, &scratch);
-  nonNegativeMember(root, "report", "replay_seconds", out, &scratch);
-  nonNegativeMember(root, "report", "coverage", out, &scratch);
-  nonNegativeMember(root, "report", "step", out, &scratch);
-  nonNegativeMember(root, "report", "spans_recorded", out, &scratch);
-  nonNegativeMember(root, "report", "spans_dropped", out, &scratch);
-
-  // Relative slack for min<=mean<=max comparisons across text round-trips.
-  constexpr double kEps = 1e-9;
+  if (!parseDocument(text, "awp-telemetry-report", 1, root, out)) return out;
+  checkFields(root, "report", kRootFields, out);
+  const double nranks = numberOf(root, "nranks");
 
   const JsonValue* phases = root.find("phases");
   if (phases == nullptr || !phases->isObject()) {
     out.push_back("missing 'phases' object");
   } else {
-    for (std::size_t p = 0; p < kPhaseCount; ++p) {
-      const std::string name(kPhaseJsonNames[p]);
-      const std::string context = "phase '" + name + "'";
-      const JsonValue* entry = phases->find(name);
+    for (std::string_view name : kPhaseJsonNames) {
+      const std::string context = "phase '" + std::string(name) + "'";
+      const JsonValue* entry = phases->find(std::string(name));
       if (entry == nullptr || !entry->isObject()) {
-        out.push_back("missing phase '" + name + "'");
+        out.push_back("missing " + context);
         continue;
       }
-      double sum = 0, minV = 0, maxV = 0, mean = 0, imb = 0, replay = 0;
-      const bool haveSum =
-          nonNegativeMember(*entry, context, "sum_seconds", out, &sum);
-      const bool haveMin =
-          nonNegativeMember(*entry, context, "min_seconds", out, &minV);
-      const bool haveMax =
-          nonNegativeMember(*entry, context, "max_seconds", out, &maxV);
-      const bool haveMean =
-          nonNegativeMember(*entry, context, "mean_seconds", out, &mean);
-      nonNegativeMember(*entry, context, "replay_seconds", out, &replay);
-      if (haveMin && haveMean && minV > mean * (1.0 + kEps) + kEps)
+      checkFields(*entry, context, kPhaseFields, out);
+      const double sum = numberOf(*entry, "sum_seconds");
+      const double minV = numberOf(*entry, "min_seconds");
+      const double maxV = numberOf(*entry, "max_seconds");
+      const double mean = numberOf(*entry, "mean_seconds");
+      if (exceeds(minV, mean))
         out.push_back(context + ": min_seconds exceeds mean_seconds");
-      if (haveMean && haveMax && mean > maxV * (1.0 + kEps) + kEps)
+      if (exceeds(mean, maxV))
         out.push_back(context + ": mean_seconds exceeds max_seconds");
-      if (haveSum && haveMax && maxV > sum * (1.0 + kEps) + kEps)
+      if (exceeds(maxV, sum))
         out.push_back(context + ": max_seconds exceeds sum_seconds");
-      if (numberMember(*entry, context, "imbalance", out, &imb) &&
-          imb < 1.0 - kEps)
-        out.push_back(context + ": imbalance below 1");
-      double maxRank = 0.0;
-      if (numberMember(*entry, context, "max_rank", out, &maxRank) &&
-          nranks > 0 && (maxRank < 0 || maxRank >= nranks))
+      if (numberOf(*entry, "max_rank") >= nranks)
         out.push_back(context + ": max_rank out of range");
     }
   }
@@ -297,25 +228,17 @@ std::vector<std::string> validateReportJson(const std::string& text) {
   if (counters == nullptr || !counters->isObject()) {
     out.push_back("missing 'counters' object");
   } else {
-    for (std::size_t c = 0; c < kCounterCount; ++c) {
-      const std::string name(kCounterJsonNames[c]);
-      const std::string context = "counter '" + name + "'";
-      const JsonValue* entry = counters->find(name);
+    for (std::string_view name : kCounterJsonNames) {
+      const std::string context = "counter '" + std::string(name) + "'";
+      const JsonValue* entry = counters->find(std::string(name));
       if (entry == nullptr || !entry->isObject()) {
-        out.push_back("missing counter '" + name + "'");
+        out.push_back("missing " + context);
         continue;
       }
-      double total = 0, minV = 0, maxV = 0;
-      nonNegativeMember(*entry, context, "total", out, &total);
-      const bool haveMin =
-          nonNegativeMember(*entry, context, "min", out, &minV);
-      const bool haveMax =
-          nonNegativeMember(*entry, context, "max", out, &maxV);
-      if (haveMin && haveMax && minV > maxV)
+      checkFields(*entry, context, kCounterFields, out);
+      if (numberOf(*entry, "min") > numberOf(*entry, "max"))
         out.push_back(context + ": min exceeds max");
-      double maxRank = 0.0;
-      if (numberMember(*entry, context, "max_rank", out, &maxRank) &&
-          nranks > 0 && (maxRank < 0 || maxRank >= nranks))
+      if (numberOf(*entry, "max_rank") >= nranks)
         out.push_back(context + ": max_rank out of range");
     }
   }

@@ -25,8 +25,10 @@
 #include "fabric/fabric.hpp"
 #include "fault/injector.hpp"
 #include "health/watchdog.hpp"
+#include "io/shared_file.hpp"
 #include "rupture/rate_state.hpp"
 #include "sched/spec.hpp"
+#include "telemetry/json.hpp"
 #include "util/error.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
@@ -525,6 +527,50 @@ TEST(CycleCatalogJson, RendersValidAndCatchesViolations) {
 
   EXPECT_FALSE(validateCycleCatalogJson("{not json").empty());
   EXPECT_FALSE(validateCycleCatalogJson("{\"schema\": \"other\"}").empty());
+}
+
+// Golden rendering: one completed and one failed row pin every key and
+// value of the schema, including the digest of the canonical bytes.
+CycleCatalog goldenCycleCatalog() {
+  CycleCatalog catalog;
+  catalog.nx = 24;
+  catalog.nz = 8;
+  catalog.cell = 500.0;
+  catalog.years = 40.0;
+  catalog.seed = 11;
+  catalog.steps = 1234;
+  catalog.wallSeconds = 1.5;
+  CycleCatalogRow row;
+  row.index = 0;
+  row.onsetSeconds = 1.0e7 / 3.0;
+  row.durationSeconds = 2.5;
+  row.magnitude = 5.1;
+  row.momentNm = 5.6e16;
+  row.peakSlipRate = 0.31;
+  row.eventDigest = "0123456789abcdef0123456789abcdef";
+  row.specHash = "fedcba9876543210fedcba9876543210";
+  row.productDigest = "00112233445566778899aabbccddeeff";
+  row.phase = "completed";
+  row.completions = 1;
+  catalog.rows.push_back(row);
+  row.index = 1;
+  row.onsetSeconds = 2.0e7;
+  row.magnitude = -0.7;
+  row.eventDigest = "aaaaaaaaaaaaaaaabbbbbbbbbbbbbbbb";
+  row.productDigest = "";
+  row.phase = "failed";
+  row.completions = 0;
+  catalog.rows.push_back(row);
+  return catalog;
+}
+
+TEST(CycleCatalogJson, FixedCatalogParsesToCommittedTree) {
+  const std::string text = toJson(goldenCycleCatalog());
+  EXPECT_TRUE(validateCycleCatalogJson(text).empty());
+  EXPECT_TRUE(telemetry::parseJson(text) ==
+              telemetry::parseJson(io::readTextFile(
+                  AWP_TEST_GOLDEN_DIR "/cycle_catalog.json")))
+      << text;
 }
 
 // --- bridge ----------------------------------------------------------------

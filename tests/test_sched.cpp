@@ -24,6 +24,7 @@
 #include "core/runtime_config.hpp"
 #include "fault/injector.hpp"
 #include "health/watchdog.hpp"
+#include "io/shared_file.hpp"
 #include "sched/artifact_cache.hpp"
 #include "sched/job.hpp"
 #include "sched/queue.hpp"
@@ -504,6 +505,88 @@ TEST(ServiceReportJson, RetrySiteStatsRenderAndValidate) {
   bad.attempts = 1;  // attempts below calls: impossible
   report.retrySites["bogus.site"] = bad;
   EXPECT_FALSE(validateServiceReportJson(toJson(report)).empty());
+}
+
+// Golden rendering: pins every key and value, including the escaping of
+// quotes, backslashes, newlines and control bytes in job names and errors.
+ServiceReport goldenServiceReport() {
+  ServiceReport report;
+  report.wallSeconds = 2.5;
+  report.coreBudget = 4;
+  report.submitted = 6;
+  report.completed = 2;
+  report.failed = 1;
+  report.rejected = 1;
+  report.cacheHits = 1;
+  report.coalesced = 1;
+  report.retries = 2;
+  report.respawns = 1;
+  report.respawnEscalations = 1;
+  report.executedAttempts = 4;
+  report.throughputPerSecond = 0.8;
+  report.queueLatencyMin = 0.01;
+  report.queueLatencyMean = 1.0 / 30.0;
+  report.queueLatencyMax = 0.1;
+  report.cache.hits = 9;
+  report.cache.misses = 3;
+  report.cache.computes = 3;
+  report.cache.diskLoads = 2;
+  report.cache.memoryHits = 7;
+  report.cache.memoryMisses = 5;
+  report.cache.diskHits = 2;
+  report.cache.diskMisses = 3;
+  report.cache.puts = 6;
+  report.cache.dedupHits = 2;
+  report.cache.logicalBytes = 65536;
+  report.cache.storedBytes = 40960;
+  report.cache.entries = 4;
+  util::RetrySiteStats site;
+  site.calls = 2;
+  site.attempts = 5;
+  site.failures = 3;
+  site.exhausted = 1;
+  report.retrySites["sharedfile.write"] = site;
+  JobRow done;
+  done.name = "wave-0";
+  done.kind = "wave";
+  done.hash = "0123456789abcdef0123456789abcdef";
+  done.priority = -1;
+  done.phase = "completed";
+  done.attempts = 2;
+  done.retries = 1;
+  done.respawns = 1;
+  done.cacheHit = false;
+  done.coalesced = true;
+  done.completedSteps = 120;
+  done.queueSeconds = 0.01;
+  done.runSeconds = 1.0 / 3.0;
+  report.jobs.push_back(done);
+  JobRow failed;
+  failed.name = "rup \"quoted\" \\ back\nline\x01";
+  failed.kind = "rupture";
+  failed.hash = "fedcba9876543210fedcba9876543210";
+  failed.priority = 3;
+  failed.phase = "failed";
+  failed.attempts = 3;
+  failed.retries = 2;
+  failed.cacheHit = true;
+  failed.completedSteps = 7;
+  failed.queueSeconds = 0.1;
+  failed.runSeconds = 0.25;
+  failed.error = "blow-up: \"nan\" at \\grid\n\ttab\x1f";
+  report.jobs.push_back(failed);
+  return report;
+}
+
+TEST(ServiceReportJson, FixedReportParsesToCommittedTree) {
+  const std::string text = toJson(goldenServiceReport());
+  EXPECT_TRUE(validateServiceReportJson(text).empty());
+  const telemetry::JsonValue tree = telemetry::parseJson(text);
+  EXPECT_TRUE(tree == telemetry::parseJson(io::readTextFile(
+                          AWP_TEST_GOLDEN_DIR "/service_report.json")))
+      << text;
+  EXPECT_EQ(tree.find("jobs")->items[1].find("name")->text,
+            goldenServiceReport().jobs[1].name);
 }
 
 TEST(ServiceReportJson, LiveRetryRegistryLandsInTheServiceReport) {

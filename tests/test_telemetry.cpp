@@ -395,6 +395,54 @@ TEST_F(TelemetryTest, ValidatorRejectsBrokenReports) {
   EXPECT_FALSE(validateReportJson("{\"unterminated").empty());
 }
 
+// Golden rendering: a fixed report must parse to the committed tree, so
+// every key, value and nesting level of the schema is pinned, not only
+// the presence checks the validator makes.
+telemetry::ClusterReport goldenClusterReport() {
+  using namespace telemetry;
+  ClusterReport report;
+  report.nranks = 2;
+  report.step = 42;
+  report.wallSeconds = 0.1;
+  report.usefulSeconds = 0.07;
+  report.replaySeconds = 0.0125;
+  report.coverage = 0.825;
+  report.spansRecorded = 1234;
+  report.spansDropped = 5;
+  for (std::size_t p = 0; p < kPhaseCount; ++p) {
+    PhaseStat s;
+    s.phase = static_cast<Phase>(p);
+    s.sumSeconds = 0.1 * static_cast<double>(p + 1) / 3.0;
+    s.minSeconds = s.sumSeconds * 0.25;
+    s.maxSeconds = s.sumSeconds * 0.75;
+    s.meanSeconds = s.sumSeconds * 0.5;
+    s.imbalance = 1.5;
+    s.maxRank = static_cast<int>(p % 2);
+    s.replaySeconds = 1e-3 * static_cast<double>(p);
+    report.phases.push_back(s);
+  }
+  for (std::size_t c = 0; c < kCounterCount; ++c) {
+    CounterStat s;
+    s.counter = static_cast<Counter>(c);
+    s.min = 10 * c;
+    s.max = 20 * c + 1;
+    s.total = s.min + s.max;
+    s.maxRank = static_cast<int>((c + 1) % 2);
+    report.counters.push_back(s);
+  }
+  report.counters[0].total = (std::uint64_t{1} << 53) + 1;
+  return report;
+}
+
+TEST(ReportJsonGolden, FixedReportParsesToCommittedTree) {
+  const std::string text = telemetry::toJson(goldenClusterReport());
+  EXPECT_TRUE(telemetry::validateReportJson(text).empty());
+  EXPECT_TRUE(telemetry::parseJson(text) ==
+              telemetry::parseJson(io::readTextFile(
+                  AWP_TEST_GOLDEN_DIR "/telemetry_report.json")))
+      << text;
+}
+
 // --- solver integration ----------------------------------------------------
 
 TEST_F(TelemetryTest, SolverPhysicsIsBitIdenticalWithTelemetry) {

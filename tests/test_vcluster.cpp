@@ -225,8 +225,8 @@ TEST(Cart, BlockRangeCoversAll) {
 
 TEST(Mailbox, DepthTracksQueue) {
   Mailbox box;
-  box.push({0, 1, {}});
-  box.push({0, 2, {}});
+  box.push({0, 1, 0, {}});
+  box.push({0, 2, 0, {}});
   EXPECT_EQ(box.depth(), 2u);
   Message out;
   EXPECT_TRUE(box.tryPopMatch(0, 2, out));

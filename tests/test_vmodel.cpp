@@ -109,8 +109,9 @@ TEST_F(SocalCvm, SanBernardinoHugsFault) {
   // The SBB analogue must sit within a few km of the fault trace
   // (y = faultY) — the Fig 21 geography the science result depends on.
   for (const auto& b : cvm_.basins()) {
-    if (b.name == "San Bernardino")
+    if (b.name == "San Bernardino") {
       EXPECT_LT(std::abs(b.cy - 45e3), 5e3);
+    }
   }
 }
 
